@@ -17,16 +17,18 @@ docs/format.md for the byte-level reference.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .model import ModelConfig, TransformerEncoderModel
+from .layers import Parameter
+from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import EmaTracker
 from .runtime import (
     DynamicQuantLinear,
     DynamicQuantModel,
-    InferenceBlock,
+    LayerNormFrozen,
     QuantizedEmbeddingFrozen,
     QuantizedLinearFrozen,
     QuantizedModelFrozen,
@@ -42,6 +44,34 @@ KIND_DYNAMIC = "int8-dynamic"
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
 
+# The tensor schema: for each artifact kind and layer kind, the tensors a
+# layer stores, as (suffix, dtype, rank, scale field). A tensor is named
+# "<layer name>.<suffix>" and is read from, or restored to, the layer field
+# of that name. Its shape is the first `rank` dimensions of the layer's
+# shape in layer_tree. A scale field names the layer field stored as the
+# tensor's `scale`. docs/format.md has the same table.
+_NORM = (("gain", "f32", 1, None), ("bias", "f32", 1, None))
+_TRAINING = {EMBEDDING: (("table", "f32", 2, None),), NORM: _NORM,
+             LINEAR: (("weight", "f32", 2, None), ("bias", "f32", 1, None))}
+_INT8_EMBEDDING = (("table_q", "i8", 2, "scale"),)
+_INT8_WEIGHT = ("weight_q", "i8", 2, "weight_scale")
+SCHEMA = {
+    KIND_FP32: _TRAINING,
+    KIND_QAT: _TRAINING,
+    KIND_FROZEN: {EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
+                  LINEAR: (_INT8_WEIGHT, ("bias_q", "i32", 1, None))},
+    KIND_DYNAMIC: {EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
+                   LINEAR: (_INT8_WEIGHT, ("bias", "f32", 1, None))},
+}
+
+# the integer model and its layer class per layer kind
+_INTEGER_MODELS = {
+    KIND_FROZEN: (QuantizedModelFrozen, {EMBEDDING: QuantizedEmbeddingFrozen,
+                                         NORM: LayerNormFrozen, LINEAR: QuantizedLinearFrozen}),
+    KIND_DYNAMIC: (DynamicQuantModel, {EMBEDDING: QuantizedEmbeddingFrozen,
+                                       NORM: LayerNormFrozen, LINEAR: DynamicQuantLinear}),
+}
+
 
 class FormatError(ValueError):
     """The byte stream is not a valid artifact."""
@@ -49,6 +79,15 @@ class FormatError(ValueError):
 
 def _f32(x) -> float:
     return float(np.float32(x))
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_scale(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v) and v > 0)
 
 
 def _config_dict(config: ModelConfig) -> dict:
@@ -76,68 +115,6 @@ def artifact_kind(model) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tensor collection per artifact kind
-# ---------------------------------------------------------------------------
-
-
-def _collect_training_model(model: TransformerEncoderModel):
-    tensors = {name: ("f32", p.value, None) for name, p in model.parameters().items()}
-    extra = {}
-    if model.quant_enabled:
-        extra["trackers"] = {
-            name: {
-                "decay": layer.input_tracker.decay,
-                "running_max": _f32(layer.input_tracker.running_max),
-                "initialized": layer.input_tracker.initialized,
-            }
-            for name, layer in model.named_qlinears()
-        }
-    return tensors, extra
-
-
-def _iter_inference_fcs(model):
-    blocks = {}
-    for i, blk in enumerate(model.blocks):
-        blocks[f"blocks.{i}.attn.q_proj"] = blk.attn_q
-        blocks[f"blocks.{i}.attn.k_proj"] = blk.attn_k
-        blocks[f"blocks.{i}.attn.v_proj"] = blk.attn_v
-        blocks[f"blocks.{i}.attn.out_proj"] = blk.attn_out
-        blocks[f"blocks.{i}.fc_expand"] = blk.fc_expand
-        blocks[f"blocks.{i}.fc_reduce"] = blk.fc_reduce
-    blocks["classifier"] = model.classifier
-    return blocks
-
-
-def _iter_inference_norms(model):
-    norms = {"emb_norm": (model.emb_norm_gain, model.emb_norm_bias)}
-    for i, blk in enumerate(model.blocks):
-        norms[f"blocks.{i}.norm_attn"] = (blk.norm_attn_gain, blk.norm_attn_bias)
-        norms[f"blocks.{i}.norm_ffn"] = (blk.norm_ffn_gain, blk.norm_ffn_bias)
-    return norms
-
-
-def _collect_integer_model(model):
-    frozen = isinstance(model, QuantizedModelFrozen)
-    tensors = {
-        "token_emb.table_q": ("i8", model.token_emb.table_q, _f32(model.token_emb.scale)),
-        "pos_emb.table_q": ("i8", model.pos_emb.table_q, _f32(model.pos_emb.scale)),
-    }
-    for name, (gain, bias) in _iter_inference_norms(model).items():
-        tensors[f"{name}.gain"] = ("f32", gain, None)
-        tensors[f"{name}.bias"] = ("f32", bias, None)
-    input_scales = {}
-    for name, fc in _iter_inference_fcs(model).items():
-        tensors[f"{name}.weight_q"] = ("i8", fc.weight_q, _f32(fc.weight_scale))
-        if frozen:
-            tensors[f"{name}.bias_q"] = ("i32", fc.bias_q, None)
-            input_scales[name] = _f32(fc.input_scale)
-        else:
-            tensors[f"{name}.bias"] = ("f32", fc.bias, None)
-    extra = {"input_scales": input_scales} if frozen else {}
-    return tensors, extra
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
 
@@ -145,10 +122,25 @@ def _collect_integer_model(model):
 def serialize(model) -> bytes:
     """Serialize a model to deterministic artifact bytes."""
     kind = artifact_kind(model)
-    if kind in (KIND_FP32, KIND_QAT):
-        tensors, extra = _collect_training_model(model)
-    else:
-        tensors, extra = _collect_integer_model(model)
+    modules = dict(model.named_modules())
+    tensors, extra = {}, {}
+    for name, layer_kind, _ in layer_tree(model.config):
+        layer = modules[name]
+        for suffix, dtype, _, scale_field in SCHEMA[kind][layer_kind]:
+            array = getattr(layer, suffix)
+            if isinstance(array, Parameter):
+                array = array.value
+            scale = _f32(getattr(layer, scale_field)) if scale_field else None
+            tensors[f"{name}.{suffix}"] = (dtype, array, scale)
+        if layer_kind == LINEAR and kind == KIND_QAT:
+            tracker = layer.input_tracker
+            extra.setdefault("trackers", {})[name] = {
+                "decay": tracker.decay,
+                "running_max": _f32(tracker.running_max),
+                "initialized": tracker.initialized,
+            }
+        elif layer_kind == LINEAR and kind == KIND_FROZEN:
+            extra.setdefault("input_scales", {})[name] = _f32(layer.input_scale)
 
     directory = []
     chunks = []
@@ -178,7 +170,13 @@ def serialize(model) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def _nbytes(entry) -> int:
+    return math.prod(entry["shape"]) * _DTYPES[entry["dtype"]].itemsize
+
+
 def _parse_container(data: bytes):
+    """Split the bytes into a header object and a payload that matches its
+    tensor directory."""
     if len(data) < 9:
         raise FormatError(f"truncated artifact: {len(data)} bytes, need at least 9")
     if data[:4] != MAGIC:
@@ -194,24 +192,42 @@ def _parse_container(data: bytes):
         header = json.loads(data[9 : 9 + header_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable header JSON: {exc}") from exc
-    return header, data[9 + header_len :]
+    if not isinstance(header, dict):
+        raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
+    payload = data[9 + header_len :]
+    _validate_directory(header.get("tensors"), len(payload))
+    return header, payload
 
 
 def _validate_directory(directory, payload_len: int):
+    if not isinstance(directory, list):
+        raise FormatError("header has no tensor directory")
     expected_offset = 0
+    names = set()
     for entry in directory:
+        if not isinstance(entry, dict):
+            raise FormatError(f"tensor entry is not an object: {entry!r}")
         for key in ("name", "dtype", "shape", "offset"):
             if key not in entry:
                 raise FormatError(f"tensor entry missing key {key!r}: {entry}")
-        if entry["dtype"] not in _DTYPES:
-            raise FormatError(f"unknown dtype {entry['dtype']!r} for {entry['name']}")
-        nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * _DTYPES[entry["dtype"]].itemsize
-        if entry["offset"] != expected_offset:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        if not isinstance(name, str) or name in names:
+            raise FormatError(f"tensor name {name!r} is not a string or repeats")
+        names.add(name)
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise FormatError(f"unknown dtype {dtype!r} for {name}")
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+            raise FormatError(f"tensor {name}: shape {shape!r} is not a list of "
+                              "non-negative integers")
+        if "scale" in entry and not _is_scale(entry["scale"]):
+            raise FormatError(f"tensor {name}: scale {entry['scale']!r} is not a "
+                              "positive finite number")
+        if not _is_count(entry["offset"]) or entry["offset"] != expected_offset:
             raise FormatError(
-                f"tensor {entry['name']}: offset {entry['offset']} overlaps or leaves "
+                f"tensor {name}: offset {entry['offset']!r} overlaps or leaves "
                 f"a gap (expected {expected_offset})"
             )
-        expected_offset += nbytes
+        expected_offset += _nbytes(entry)
     if expected_offset != payload_len:
         raise FormatError(
             f"payload length {payload_len} does not match directory total {expected_offset}"
@@ -219,135 +235,100 @@ def _validate_directory(directory, payload_len: int):
 
 
 def _read_tensors(header, payload) -> dict[str, tuple[np.ndarray, float | None]]:
-    directory = header.get("tensors")
-    if not isinstance(directory, list):
-        raise FormatError("header has no tensor directory")
-    _validate_directory(directory, len(payload))
     out = {}
-    for entry in directory:
-        dtype = _DTYPES[entry["dtype"]]
-        nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * dtype.itemsize
-        raw = payload[entry["offset"] : entry["offset"] + nbytes]
-        array = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
+    for entry in header["tensors"]:
+        raw = payload[entry["offset"] : entry["offset"] + _nbytes(entry)]
+        array = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
         if entry["dtype"] == "f32" and not np.isfinite(array).all():
             raise FormatError(f"tensor {entry['name']} contains non-finite values")
         out[entry["name"]] = (array, entry.get("scale"))
     return out
 
 
-def _require(tensors, name):
-    if name not in tensors:
-        raise FormatError(f"artifact is missing tensor {name!r}")
-    return tensors[name]
-
-
 def _config_from_header(header) -> ModelConfig:
+    fields = header.get("config")
+    if not isinstance(fields, dict) or not all(
+            _is_count(v) for k, v in fields.items() if k != "ema_decay"):
+        raise FormatError(f"invalid model config in header: {fields!r}")
     try:
-        return ModelConfig(**header["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+        return ModelConfig(**fields)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"invalid model config in header: {exc}") from exc
 
 
-def _restore_training_model(header, tensors, quant_enabled) -> TransformerEncoderModel:
-    config = _config_from_header(header)
-    model = TransformerEncoderModel(config, quant_enabled=quant_enabled, seed=0)
-    params = model.parameters()
-    names = set(params)
-    present = set(tensors)
-    if names != present:
-        missing, extra = names - present, present - names
+def _check_tensors(tensors, kind, config):
+    """The tensors must be exactly those the schema and the config imply."""
+    expected = {}
+    for name, layer_kind, shape in layer_tree(config):
+        for suffix, dtype, rank, scale_field in SCHEMA[kind][layer_kind]:
+            expected[f"{name}.{suffix}"] = (dtype, shape[:rank], scale_field)
+    if tensors.keys() != expected.keys():
+        missing, extra = expected.keys() - tensors.keys(), tensors.keys() - expected.keys()
         raise FormatError(f"tensor set mismatch: missing {sorted(missing)}, "
                           f"unexpected {sorted(extra)}")
-    for name, param in params.items():
-        array, _ = tensors[name]
-        if tuple(array.shape) != param.value.shape:
+    for name, (dtype, shape, scale_field) in expected.items():
+        array, scale = tensors[name]
+        if array.dtype != _DTYPES[dtype]:
+            raise FormatError(f"tensor {name}: dtype {array.dtype} is not {dtype}")
+        if array.shape != shape:
             raise FormatError(f"tensor {name}: shape {array.shape} does not match "
-                              f"model shape {param.value.shape}")
-        param.value = array.astype(np.float32)
+                              f"config shape {shape}")
+        if scale_field and scale is None:
+            raise FormatError(f"tensor {name} has no scale")
+
+
+def _restore_training_model(header, tensors, config, kind) -> TransformerEncoderModel:
+    model = TransformerEncoderModel(config, quant_enabled=(kind == KIND_QAT), seed=0)
+    for name, param in model.parameters().items():
+        param.value = tensors[name][0]
         param.grad = np.zeros_like(param.value)
-    if quant_enabled:
-        trackers = header.get("trackers", {})
+    if kind == KIND_QAT:
+        trackers = header.get("trackers")
         for name, layer in model.named_qlinears():
-            if name not in trackers:
-                raise FormatError(f"artifact is missing tracker state for {name!r}")
-            state = trackers[name]
-            layer.input_tracker = EmaTracker(
-                decay=float(state["decay"]),
-                running_max=float(np.float32(state["running_max"])),
-                initialized=bool(state["initialized"]),
-            )
+            try:
+                state = trackers[name]
+                layer.input_tracker = EmaTracker(
+                    decay=float(state["decay"]),
+                    running_max=float(np.float32(state["running_max"])),
+                    initialized=bool(state["initialized"]),
+                )
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FormatError(f"artifact has no valid tracker state for {name!r}: "
+                                  f"{exc!r}") from exc
     return model
 
 
-def _restore_integer_model(header, tensors, kind):
-    config = _config_from_header(header)
-    frozen = kind == KIND_FROZEN
-    input_scales = header.get("input_scales", {})
-
-    def embedding(name):
-        array, scale = _require(tensors, f"{name}.table_q")
-        if scale is None:
-            raise FormatError(f"{name}.table_q has no scale")
-        return QuantizedEmbeddingFrozen(table_q=array, scale=np.float32(scale))
-
-    def norm(name):
-        gain, _ = _require(tensors, f"{name}.gain")
-        bias, _ = _require(tensors, f"{name}.bias")
-        return gain, bias
-
-    def fc(name):
-        weight_q, scale = _require(tensors, f"{name}.weight_q")
-        if scale is None:
-            raise FormatError(f"{name}.weight_q has no scale")
-        if frozen:
-            if name not in input_scales:
-                raise FormatError(f"artifact is missing input scale for {name!r}")
-            bias_q, _ = _require(tensors, f"{name}.bias_q")
-            return QuantizedLinearFrozen(
-                weight_q=weight_q, weight_scale=np.float32(scale),
-                input_scale=np.float32(input_scales[name]), bias_q=bias_q,
-            )
-        bias, _ = _require(tensors, f"{name}.bias")
-        return DynamicQuantLinear(weight_q=weight_q, weight_scale=np.float32(scale),
-                                  bias=bias)
-
-    blocks = []
-    for i in range(config.num_layers):
-        na_gain, na_bias = norm(f"blocks.{i}.norm_attn")
-        nf_gain, nf_bias = norm(f"blocks.{i}.norm_ffn")
-        blocks.append(InferenceBlock(
-            attn_q=fc(f"blocks.{i}.attn.q_proj"),
-            attn_k=fc(f"blocks.{i}.attn.k_proj"),
-            attn_v=fc(f"blocks.{i}.attn.v_proj"),
-            attn_out=fc(f"blocks.{i}.attn.out_proj"),
-            norm_attn_gain=na_gain, norm_attn_bias=na_bias,
-            fc_expand=fc(f"blocks.{i}.fc_expand"),
-            fc_reduce=fc(f"blocks.{i}.fc_reduce"),
-            norm_ffn_gain=nf_gain, norm_ffn_bias=nf_bias,
-        ))
-    emb_gain, emb_bias = norm("emb_norm")
-    model_cls = QuantizedModelFrozen if frozen else DynamicQuantModel
-    return model_cls(
-        config=config,
-        token_emb=embedding("token_emb"),
-        pos_emb=embedding("pos_emb"),
-        emb_norm_gain=emb_gain,
-        emb_norm_bias=emb_bias,
-        blocks=blocks,
-        classifier=fc("classifier"),
-    )
+def _restore_integer_model(header, tensors, config, kind):
+    model_cls, layer_classes = _INTEGER_MODELS[kind]
+    input_scales = header.get("input_scales")
+    layers = {}
+    for name, layer_kind, _ in layer_tree(config):
+        fields = {}
+        for suffix, _, _, scale_field in SCHEMA[kind][layer_kind]:
+            array, scale = tensors[f"{name}.{suffix}"]
+            fields[suffix] = array
+            if scale_field:
+                fields[scale_field] = np.float32(scale)
+        if layer_kind == LINEAR and kind == KIND_FROZEN:
+            if not isinstance(input_scales, dict) or not _is_scale(input_scales.get(name)):
+                raise FormatError(f"artifact has no valid input scale for {name!r}")
+            fields["input_scale"] = np.float32(input_scales[name])
+        layers[name] = layer_classes[layer_kind](**fields)
+    return model_cls(config, layers)
 
 
 def deserialize(data: bytes):
     """Reconstruct a model from artifact bytes. Raises FormatError on damage."""
     header, payload = _parse_container(data)
     kind = header.get("kind")
+    if not isinstance(kind, str) or kind not in SCHEMA:
+        raise FormatError(f"unknown artifact kind {kind!r}")
+    config = _config_from_header(header)
     tensors = _read_tensors(header, payload)
-    if kind in (KIND_FP32, KIND_QAT):
-        return _restore_training_model(header, tensors, quant_enabled=(kind == KIND_QAT))
-    if kind in (KIND_FROZEN, KIND_DYNAMIC):
-        return _restore_integer_model(header, tensors, kind)
-    raise FormatError(f"unknown artifact kind {kind!r}")
+    _check_tensors(tensors, kind, config)
+    if kind in _INTEGER_MODELS:
+        return _restore_integer_model(header, tensors, config, kind)
+    return _restore_training_model(header, tensors, config, kind)
 
 
 def save_artifact(model, path) -> bytes:
@@ -365,14 +346,12 @@ def load_artifact(path):
 def inspect_header(data: bytes) -> dict:
     """Header plus size accounting, for the CLI `inspect` command."""
     header, payload = _parse_container(data)
-    _validate_directory(header.get("tensors", []), len(payload))
     by_dtype: dict[str, int] = {}
     for entry in header["tensors"]:
-        nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * _DTYPES[entry["dtype"]].itemsize
-        by_dtype[entry["dtype"]] = by_dtype.get(entry["dtype"], 0) + nbytes
+        by_dtype[entry["dtype"]] = by_dtype.get(entry["dtype"], 0) + _nbytes(entry)
     return {
-        "kind": header["kind"],
-        "config": header["config"],
+        "kind": header.get("kind"),
+        "config": header.get("config"),
         "num_tensors": len(header["tensors"]),
         "payload_bytes": len(payload),
         "payload_bytes_by_dtype": by_dtype,

@@ -125,7 +125,6 @@ class QuantizedLinear:
         params: QuantParams = QuantParams(),
         quant_enabled: bool = False,
         ema_decay: float = 0.9,
-        ema_update_first: bool = True,
     ):
         self.in_features = in_features
         self.out_features = out_features
@@ -134,9 +133,6 @@ class QuantizedLinear:
         self.params = params
         self.quant_enabled = quant_enabled
         self.input_tracker = EmaTracker(decay=ema_decay)
-        # Whether a training batch updates the EMA before or after the
-        # batch's own fake quantization. Either way the first batch seeds it.
-        self.ema_update_first = ema_update_first
         self._cache = None
 
     def named_params(self):
@@ -151,19 +147,13 @@ class QuantizedLinear:
 
         if self.quant_enabled:
             m = self.params.max_value
-            deferred_max = None
             if training:
-                batch_max = float(np.max(np.abs(x2)))
-                if self.ema_update_first or not self.input_tracker.initialized:
-                    ema_update(self.input_tracker, batch_max)
-                else:
-                    deferred_max = batch_max
+                # the batch's own max joins the EMA before it is quantized
+                ema_update(self.input_tracker, float(np.max(np.abs(x2))))
             s_x = activation_scale(self.input_tracker, m)
             s_w = weight_scale(self.weight.value, m)
             x_used = fake_quantize(x2, s_x, m)
             w_used = fake_quantize(self.weight.value, s_w, m)
-            if deferred_max is not None:
-                ema_update(self.input_tracker, deferred_max)
             if not training:
                 # eval predicts what the integer runtime will produce, so the
                 # bias is rounded to its Int32 grid like the frozen artifact's
@@ -306,7 +296,16 @@ def attention_mix(q, k, v, num_heads: int):
     return merge_heads(ctx), probs
 
 
-class MultiHeadAttention:
+class _Container:
+    """A layer made of sublayers; its parameters are theirs, in the order the
+    sublayers were assigned, prefixed by the attribute name."""
+
+    def named_params(self):
+        return [(f"{name}.{p}", param) for name, layer in vars(self).items()
+                if hasattr(layer, "named_params") for p, param in layer.named_params()]
+
+
+class MultiHeadAttention(_Container):
     """Self-attention with quantization-capable q/k/v/output projections."""
 
     def __init__(self, dim, num_heads, *, rng, params=QuantParams(), quant_enabled=False,
@@ -322,36 +321,21 @@ class MultiHeadAttention:
         self.out_proj = QuantizedLinear(dim, dim, **kw)
         self._cache = None
 
-    def named_params(self):
-        out = []
-        for name, layer in self.named_sublayers():
-            out.extend((f"{name}.{p}", param) for p, param in layer.named_params())
-        return out
-
-    def named_sublayers(self):
-        return [
-            ("q_proj", self.q_proj),
-            ("k_proj", self.k_proj),
-            ("v_proj", self.v_proj),
-            ("out_proj", self.out_proj),
-        ]
-
     def forward(self, x, training: bool = False) -> np.ndarray:
-        q = split_heads(self.q_proj.forward(x, training), self.num_heads)
-        k = split_heads(self.k_proj.forward(x, training), self.num_heads)
-        v = split_heads(self.v_proj.forward(x, training), self.num_heads)
-        inv = 1.0 / math.sqrt(q.shape[-1])
-        scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * inv
-        probs = softmax_forward(scores)
-        ctx = np.matmul(probs, v)
+        q = self.q_proj.forward(x, training)
+        k = self.k_proj.forward(x, training)
+        v = self.v_proj.forward(x, training)
+        ctx, probs = attention_mix(q, k, v, self.num_heads)
         if training:
-            self._cache = (q, k, v, probs, inv)
-        return self.out_proj.forward(merge_heads(ctx), training)
+            self._cache = (q, k, v, probs)
+        return self.out_proj.forward(ctx, training)
 
     def backward(self, upstream) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(training=True)")
-        q, k, v, probs, inv = self._cache
+        q, k, v, probs = self._cache
+        q, k, v = (split_heads(t, self.num_heads) for t in (q, k, v))
+        inv = 1.0 / math.sqrt(q.shape[-1])
         d_ctx = split_heads(self.out_proj.backward(upstream), self.num_heads)
         d_probs = np.matmul(d_ctx, v.transpose(0, 1, 3, 2))
         d_v = np.matmul(probs.transpose(0, 1, 3, 2), d_ctx)
@@ -364,7 +348,7 @@ class MultiHeadAttention:
         return grad_x
 
 
-class EncoderBlock:
+class EncoderBlock(_Container):
     """Post-norm transformer encoder block: attention and GELU feed-forward."""
 
     def __init__(self, dim, num_heads, ffn_dim, *, rng, params=QuantParams(),
@@ -376,21 +360,6 @@ class EncoderBlock:
         self.fc_reduce = QuantizedLinear(ffn_dim, dim, **kw)
         self.norm_ffn = LayerNorm(dim)
         self._ffn_pre = None
-
-    def named_params(self):
-        out = []
-        for name, layer in self.named_sublayers():
-            out.extend((f"{name}.{p}", param) for p, param in layer.named_params())
-        return out
-
-    def named_sublayers(self):
-        return [
-            ("attn", self.attn),
-            ("norm_attn", self.norm_attn),
-            ("fc_expand", self.fc_expand),
-            ("fc_reduce", self.fc_reduce),
-            ("norm_ffn", self.norm_ffn),
-        ]
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         h = self.norm_attn.forward(x + self.attn.forward(x, training), training)

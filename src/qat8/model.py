@@ -41,6 +41,36 @@ class ModelConfig:
             raise ValueError("bits must be >= 2")
 
 
+EMBEDDING = "embedding"
+NORM = "norm"
+LINEAR = "linear"
+
+
+def layer_tree(config: ModelConfig):
+    """The model's leaf layers in forward order: (name, kind, shape).
+
+    This is the one listing of the layer tree. A name is the attribute path
+    of the layer in :class:`TransformerEncoderModel` (``blocks.<i>.`` for the
+    encoder blocks). The shape is the one the config implies for the
+    layer's main tensor: (entries, dim) for an embedding table, (out, in)
+    for a linear weight, (dim,) for a layer norm.
+    """
+    d, f = config.dim, config.ffn_dim
+    yield "token_emb", EMBEDDING, (config.vocab_size, d)
+    yield "pos_emb", EMBEDDING, (config.max_seq_len, d)
+    yield "emb_norm", NORM, (d,)
+    for i in range(config.num_layers):
+        yield f"blocks.{i}.attn.q_proj", LINEAR, (d, d)
+        yield f"blocks.{i}.attn.k_proj", LINEAR, (d, d)
+        yield f"blocks.{i}.attn.v_proj", LINEAR, (d, d)
+        yield f"blocks.{i}.attn.out_proj", LINEAR, (d, d)
+        yield f"blocks.{i}.norm_attn", NORM, (d,)
+        yield f"blocks.{i}.fc_expand", LINEAR, (f, d)
+        yield f"blocks.{i}.fc_reduce", LINEAR, (d, f)
+        yield f"blocks.{i}.norm_ffn", NORM, (d,)
+    yield "classifier", LINEAR, (config.num_classes, d)
+
+
 class TransformerEncoderModel:
     """Token + position embeddings, encoder blocks, first-token classifier."""
 
@@ -68,17 +98,12 @@ class TransformerEncoderModel:
     # -- structure walkers ---------------------------------------------------
 
     def named_modules(self):
-        yield "token_emb", self.token_emb
-        yield "pos_emb", self.pos_emb
-        yield "emb_norm", self.emb_norm
-        for i, block in enumerate(self.blocks):
-            for name, layer in block.named_sublayers():
-                if hasattr(layer, "named_sublayers"):
-                    for sub, leaf in layer.named_sublayers():
-                        yield f"blocks.{i}.{name}.{sub}", leaf
-                else:
-                    yield f"blocks.{i}.{name}", layer
-        yield "classifier", self.classifier
+        """The leaf layers of :func:`layer_tree`, resolved as attribute paths."""
+        for name, _, _ in layer_tree(self.config):
+            module = self
+            for part in name.split("."):
+                module = module[int(part)] if part.isdigit() else getattr(module, part)
+            yield name, module
 
     def parameters(self) -> dict[str, Parameter]:
         out = {}
@@ -90,10 +115,6 @@ class TransformerEncoderModel:
     def named_qlinears(self) -> list[tuple[str, QuantizedLinear]]:
         return [(name, mod) for name, mod in self.named_modules()
                 if isinstance(mod, QuantizedLinear)]
-
-    def named_embeddings(self) -> list[tuple[str, QuantizedEmbedding]]:
-        return [(name, mod) for name, mod in self.named_modules()
-                if isinstance(mod, QuantizedEmbedding)]
 
     def zero_grads(self):
         for param in self.parameters().values():

@@ -74,6 +74,19 @@ def dequantize(q, scale: float) -> np.ndarray:
     return np.asarray(q, dtype=np.float32) / np.float32(scale)
 
 
+# The smallest float64 that rounds to inf in float32: halfway between the
+# largest float32 and 2**128, where ties round up.
+_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+
+
+def _scale_for_peak(peak: float, m: int) -> np.float32:
+    """m / peak in FP32. A zero peak, or one so small that the scale is not
+    finite, quantizes to zeros at any scale, so it gets scale 1.0."""
+    if peak == 0.0 or m / peak >= _F32_OVERFLOW:
+        return np.float32(1.0)
+    return np.float32(m / peak)
+
+
 def _max_abs_scale(t, m: int) -> np.float32:
     t = np.asarray(t)
     if t.size == 0:
@@ -81,10 +94,7 @@ def _max_abs_scale(t, m: int) -> np.float32:
     peak = float(np.max(np.abs(t)))
     if not np.isfinite(peak):
         raise ValueError("tensor contains NaN or Inf")
-    if peak == 0.0:
-        # Degenerate all-zero tensor: any scale quantizes it to zeros.
-        return np.float32(1.0)
-    return np.float32(m / peak)
+    return _scale_for_peak(peak, m)
 
 
 def weight_scale(w, m: int = 127) -> np.float32:
@@ -117,8 +127,8 @@ class EmaTracker:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"decay must lie in (0, 1), got {self.decay}")
-        if self.running_max < 0.0:
-            raise ValueError("running_max must be >= 0")
+        if not 0.0 <= self.running_max < np.inf:
+            raise ValueError(f"running_max must be finite and >= 0, got {self.running_max}")
 
 
 def ema_update(tracker: EmaTracker, batch_max: float) -> EmaTracker:
@@ -139,9 +149,7 @@ def activation_scale(tracker: EmaTracker, m: int) -> np.float32:
     """Activation scaling-factor from training statistics: m / EMA(max|x|)."""
     if not tracker.initialized:
         raise TrackerStateError("activation tracker has not observed any batch")
-    if tracker.running_max == 0.0:
-        return np.float32(1.0)
-    return np.float32(m / tracker.running_max)
+    return _scale_for_peak(tracker.running_max, m)
 
 
 def fake_quantize(x, scale: float, m: int = 127) -> np.ndarray:

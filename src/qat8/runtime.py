@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import attention_mix, gelu_forward, layer_norm_forward
-from .model import ModelConfig, TransformerEncoderModel
+from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import activation_scale, dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import ShapeError, gemm_i8_i32
 
@@ -68,17 +68,11 @@ class QuantizedEmbeddingFrozen:
 
 
 @dataclass
-class InferenceBlock:
-    attn_q: object
-    attn_k: object
-    attn_v: object
-    attn_out: object
-    norm_attn_gain: np.ndarray
-    norm_attn_bias: np.ndarray
-    fc_expand: object
-    fc_reduce: object
-    norm_ffn_gain: np.ndarray
-    norm_ffn_bias: np.ndarray
+class LayerNormFrozen:
+    """Layer-norm gain and bias, applied in FP32."""
+
+    gain: np.ndarray       # float32, [dim]
+    bias: np.ndarray       # float32, [dim]
 
 
 def int8_linear_infer(layer: QuantizedLinearFrozen, x, m: int = 127) -> np.ndarray:
@@ -109,20 +103,28 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x, m: int = 127) -> np.ndarr
 
 
 class _IntegerEncoder:
-    """Shared forward wiring for the frozen and dynamic integer models.
+    """Forward pass shared by the frozen and dynamic integer models.
 
-    Immutable after construction; scales are never updated at inference.
+    ``layers`` maps each name of :func:`~qat8.model.layer_tree` to its
+    inference layer, in that order. Immutable after construction; scales are
+    never updated at inference.
     """
 
-    def __init__(self, config: ModelConfig, token_emb, pos_emb, emb_norm_gain,
-                 emb_norm_bias, blocks, classifier):
+    def __init__(self, config: ModelConfig, layers: dict):
         self.config = config
-        self.token_emb = token_emb
-        self.pos_emb = pos_emb
-        self.emb_norm_gain = emb_norm_gain
-        self.emb_norm_bias = emb_norm_bias
-        self.blocks = blocks
-        self.classifier = classifier
+        self.layers = layers
+        # group the layers once, here, so forward does no name lookups: the
+        # encoder blocks' layers by block, the rest in forward order
+        outer, self._blocks = [], [[] for _ in range(config.num_layers)]
+        for name, layer in layers.items():
+            if name.startswith("blocks."):
+                self._blocks[int(name.split(".")[1])].append(layer)
+            else:
+                outer.append(layer)
+        self._token_emb, self._pos_emb, self._emb_norm, self._classifier = outer
+
+    def named_modules(self):
+        return self.layers.items()
 
     def _linear(self, layer, x):
         raise NotImplementedError
@@ -135,18 +137,16 @@ class _IntegerEncoder:
         if seq > self.config.max_seq_len:
             raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
-        x = self.token_emb.lookup(ids) + self.pos_emb.lookup(pos_ids)
-        x, _ = layer_norm_forward(x, self.emb_norm_gain, self.emb_norm_bias)
-        for blk in self.blocks:
-            q = self._linear(blk.attn_q, x)
-            k = self._linear(blk.attn_k, x)
-            v = self._linear(blk.attn_v, x)
-            ctx, _ = attention_mix(q, k, v, self.config.num_heads)
-            attn_out = self._linear(blk.attn_out, ctx)
-            h, _ = layer_norm_forward(x + attn_out, blk.norm_attn_gain, blk.norm_attn_bias)
-            f = self._linear(blk.fc_reduce, gelu_forward(self._linear(blk.fc_expand, h)))
-            x, _ = layer_norm_forward(h + f, blk.norm_ffn_gain, blk.norm_ffn_bias)
-        return self._linear(self.classifier, x[:, 0, :])
+        x = self._token_emb.lookup(ids) + self._pos_emb.lookup(pos_ids)
+        x, _ = layer_norm_forward(x, self._emb_norm.gain, self._emb_norm.bias)
+        for q, k, v, out, norm_attn, fc_expand, fc_reduce, norm_ffn in self._blocks:
+            ctx, _ = attention_mix(self._linear(q, x), self._linear(k, x),
+                                   self._linear(v, x), self.config.num_heads)
+            h, _ = layer_norm_forward(x + self._linear(out, ctx),
+                                      norm_attn.gain, norm_attn.bias)
+            f = self._linear(fc_reduce, gelu_forward(self._linear(fc_expand, h)))
+            x, _ = layer_norm_forward(h + f, norm_ffn.gain, norm_ffn.bias)
+        return self._linear(self._classifier, x[:, 0, :])
 
     def predict_logits(self, ids) -> np.ndarray:
         return self.forward(ids)
@@ -194,22 +194,17 @@ def _dynamic_linear(layer, m: int) -> DynamicQuantLinear:
     )
 
 
-def _convert_blocks(model: TransformerEncoderModel, convert_fc) -> list[InferenceBlock]:
-    blocks = []
-    for blk in model.blocks:
-        blocks.append(InferenceBlock(
-            attn_q=convert_fc(blk.attn.q_proj),
-            attn_k=convert_fc(blk.attn.k_proj),
-            attn_v=convert_fc(blk.attn.v_proj),
-            attn_out=convert_fc(blk.attn.out_proj),
-            norm_attn_gain=blk.norm_attn.gain.value.copy(),
-            norm_attn_bias=blk.norm_attn.bias.value.copy(),
-            fc_expand=convert_fc(blk.fc_expand),
-            fc_reduce=convert_fc(blk.fc_reduce),
-            norm_ffn_gain=blk.norm_ffn.gain.value.copy(),
-            norm_ffn_bias=blk.norm_ffn.bias.value.copy(),
-        ))
-    return blocks
+def _copy_norm(norm, m: int) -> LayerNormFrozen:
+    return LayerNormFrozen(gain=norm.gain.value.copy(), bias=norm.bias.value.copy())
+
+
+def _convert(model: TransformerEncoderModel, model_cls, convert_linear):
+    """Convert each layer of a training model by its kind."""
+    convert = {EMBEDDING: _freeze_embedding, NORM: _copy_norm, LINEAR: convert_linear}
+    m = max_quant_value(model.config.bits)
+    modules = dict(model.named_modules())
+    return model_cls(model.config, {name: convert[kind](modules[name], m)
+                                    for name, kind, _ in layer_tree(model.config)})
 
 
 def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
@@ -226,16 +221,7 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             "model was never trained with quantization: no activation statistics "
             f"for {', '.join(uninitialized)}"
         )
-    m = max_quant_value(model.config.bits)
-    return QuantizedModelFrozen(
-        config=model.config,
-        token_emb=_freeze_embedding(model.token_emb, m),
-        pos_emb=_freeze_embedding(model.pos_emb, m),
-        emb_norm_gain=model.emb_norm.gain.value.copy(),
-        emb_norm_bias=model.emb_norm.bias.value.copy(),
-        blocks=_convert_blocks(model, lambda fc: _freeze_linear(fc, m)),
-        classifier=_freeze_linear(model.classifier, m),
-    )
+    return _convert(model, QuantizedModelFrozen, _freeze_linear)
 
 
 def dq_quantize(model: TransformerEncoderModel) -> DynamicQuantModel:
@@ -245,13 +231,4 @@ def dq_quantize(model: TransformerEncoderModel) -> DynamicQuantModel:
     weight scales; activation scales are computed per incoming tensor at
     inference time. No retraining, no calibration.
     """
-    m = max_quant_value(model.config.bits)
-    return DynamicQuantModel(
-        config=model.config,
-        token_emb=_freeze_embedding(model.token_emb, m),
-        pos_emb=_freeze_embedding(model.pos_emb, m),
-        emb_norm_gain=model.emb_norm.gain.value.copy(),
-        emb_norm_bias=model.emb_norm.bias.value.copy(),
-        blocks=_convert_blocks(model, lambda fc: _dynamic_linear(fc, m)),
-        classifier=_dynamic_linear(model.classifier, m),
-    )
+    return _convert(model, DynamicQuantModel, _dynamic_linear)

@@ -25,22 +25,6 @@ class CapacityError(ValueError):
     """Operand sizes exceed a documented kernel limit."""
 
 
-def as_f32(x) -> np.ndarray:
-    """Coerce ``x`` to a float32 array and verify all values are finite."""
-    a = np.asarray(x, dtype=np.float32)
-    if not np.isfinite(a).all():
-        raise ValueError("tensor contains NaN or Inf")
-    return a
-
-
-def as_i8(x, max_magnitude: int = 127) -> np.ndarray:
-    """Coerce ``x`` to an int8 array, verifying values lie in [-max, max]."""
-    a = np.asarray(x)
-    if a.size and (a.min() < -max_magnitude or a.max() > max_magnitude):
-        raise ValueError(f"int8 tensor values outside [-{max_magnitude}, {max_magnitude}]")
-    return a.astype(np.int8)
-
-
 def _check_2d_pair(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"gemm requires 2-D operands, got {a.shape} x {b.shape}")

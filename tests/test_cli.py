@@ -119,6 +119,14 @@ def test_exit_code_4_on_damaged_artifact(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_4_on_mistyped_header(tmp_path, capsys):
+    header = b'[{"kind":"fp32"}]'
+    bad = tmp_path / "bad.qat"
+    bad.write_bytes(b"QAT1\x01" + len(header).to_bytes(4, "little") + header)
+    assert main(["inspect", "--model", str(bad)]) == 4
+    assert "header" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "none.qat"), *FAST]) == 2
     capsys.readouterr()

@@ -45,6 +45,10 @@ def _rebuild(header, payload):
     return MAGIC + bytes([1]) + struct.pack("<I", len(blob)) + blob + payload
 
 
+KINDS = ["fp32", "qat", "frozen", "dq"]
+ITEMSIZE = {"f32": 4, "i8": 1, "i32": 4}
+
+
 @pytest.mark.parametrize("kind", ["fp32", "qat", "frozen", "dq"])
 def test_round_trip_is_bit_exact(models, kind):
     data = serialize(models[kind])
@@ -167,14 +171,24 @@ def test_rejects_unknown_dtype(models):
         deserialize(_rebuild(header, payload))
 
 
-def test_rejects_missing_tensor(models):
-    header, _, payload = _split(serialize(models["fp32"]))
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejects_missing_tensor(models, kind):
+    header, _, payload = _split(serialize(models[kind]))
     entry = header["tensors"].pop(0)
-    nbytes = int(np.prod(entry["shape"])) * 4
+    nbytes = int(np.prod(entry["shape"])) * ITEMSIZE[entry["dtype"]]
     for t in header["tensors"]:
         t["offset"] -= nbytes
     with pytest.raises(FormatError, match="mismatch|missing"):
         deserialize(_rebuild(header, payload[nbytes:]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejects_unexpected_tensor(models, kind):
+    header, _, payload = _split(serialize(models[kind]))
+    header["tensors"].append({"name": "blocks.0.extra", "dtype": "f32", "shape": [2],
+                              "offset": len(payload)})
+    with pytest.raises(FormatError, match="unexpected .*blocks.0.extra"):
+        deserialize(_rebuild(header, payload + b"\x00" * 8))
 
 
 def test_rejects_non_finite_weights(models):
@@ -195,8 +209,9 @@ def test_rejects_unknown_kind(models):
         deserialize(_rebuild(header, payload))
 
 
-def test_rejects_wrong_shape(models):
-    header, _, payload = _split(serialize(models["fp32"]))
+@pytest.mark.parametrize("kind", KINDS)
+def test_rejects_wrong_shape(models, kind):
+    header, _, payload = _split(serialize(models[kind]))
     # transposing a square-ish shape keeps byte counts aligned only if square;
     # use an entry whose first two dims differ and swap them
     for entry in header["tensors"]:
@@ -205,6 +220,71 @@ def test_rejects_wrong_shape(models):
             break
     with pytest.raises(FormatError, match="shape"):
         deserialize(_rebuild(header, payload))
+
+
+def test_rejects_missing_input_scale(models):
+    header, _, payload = _split(serialize(models["frozen"]))
+    del header["input_scales"]["blocks.0.fc_expand"]
+    with pytest.raises(FormatError, match="input scale"):
+        deserialize(_rebuild(header, payload))
+
+
+def test_rejects_missing_tracker_state(models):
+    header, _, payload = _split(serialize(models["qat"]))
+    del header["trackers"]["classifier"]["running_max"]
+    with pytest.raises(FormatError, match="tracker"):
+        deserialize(_rebuild(header, payload))
+
+
+def test_rejects_infinite_tracker_range(models):
+    header, _, payload = _split(serialize(models["qat"]))
+    header["trackers"]["classifier"]["running_max"] = 1e39  # inf in float32
+    with pytest.raises(FormatError, match="tracker"):
+        with np.errstate(over="ignore"):
+            deserialize(_rebuild(header, payload))
+
+
+def _set_entry(key, value):
+    def mutate(header):
+        header["tensors"][0][key] = value
+        return header
+    return mutate
+
+
+def _set_header(key, value):
+    def mutate(header):
+        header[key] = value
+        return header
+    return mutate
+
+
+# (mutation, whether inspect_header must reject it too: it reads only the
+# container and the tensor directory)
+@pytest.mark.parametrize("mutate,in_container", [
+    pytest.param(lambda header: [header], True, id="list-header"),
+    pytest.param(_set_header("tensors", {"a": 1}), True, id="dict-directory"),
+    pytest.param(lambda header: {**header, "tensors": [7] + header["tensors"][1:]},
+                 True, id="int-entry"),
+    pytest.param(_set_entry("name", 3), True, id="int-name"),
+    pytest.param(_set_entry("dtype", ["f32"]), True, id="list-dtype"),
+    pytest.param(_set_entry("shape", "ab"), True, id="string-shape"),
+    pytest.param(_set_entry("shape", [-1, 8]), True, id="negative-shape"),
+    pytest.param(_set_entry("shape", [2.5, 8]), True, id="float-shape"),
+    pytest.param(_set_entry("offset", "0"), True, id="string-offset"),
+    pytest.param(_set_entry("scale", "big"), True, id="string-scale"),
+    pytest.param(_set_header("kind", ["fp32"]), False, id="list-kind"),
+    pytest.param(_set_header("config", [1, 2]), False, id="list-config"),
+    pytest.param(_set_header("config", {"dim": "48"}), False, id="string-dim"),
+    pytest.param(_set_header("input_scales", [1.0]), False, id="list-input-scales"),
+])
+def test_rejects_mistyped_header(models, mutate, in_container):
+    header, _, payload = _split(serialize(models["frozen"]))
+    data = _rebuild(mutate(header), payload)
+    with pytest.raises(FormatError):
+        deserialize(data)
+    if in_container:
+        with pytest.raises(FormatError):
+            inspect_header(data)
 
 
 def test_inspect_header_reports_sizes(models):

@@ -203,7 +203,7 @@ def test_quantized_linear_ste_backward_is_exact(rng):
 
 def test_quantized_linear_ste_has_no_range_mask(rng):
     # inputs far beyond the tracked range still receive full gradient
-    fc = QuantizedLinear(4, 3, rng=rng, quant_enabled=True, ema_update_first=False)
+    fc = QuantizedLinear(4, 3, rng=rng, quant_enabled=True)
     fc.forward(np.full((2, 4), 0.1, np.float32), training=True)  # seeds EMA small
     x = np.full((2, 4), 50.0, np.float32)  # way outside the clip range
     fc.forward(x, training=True)
@@ -222,20 +222,14 @@ def test_master_weights_stay_off_grid_fp32(rng):
 def test_ema_ordering_flag(rng):
     x1 = np.full((1, 4), 2.0, np.float32)
     x2 = np.full((1, 4), 4.0, np.float32)
-    first = QuantizedLinear(4, 2, rng=np.random.default_rng(0),
-                            quant_enabled=True, ema_update_first=True)
-    first.forward(x1, training=True)
-    first.forward(x2, training=True)
-    # update-first: second batch folds into the EMA before quantizing
-    assert first.input_tracker.running_max == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
-
-    after = QuantizedLinear(4, 2, rng=np.random.default_rng(0),
-                            quant_enabled=True, ema_update_first=False)
-    after.forward(x1, training=True)  # first batch always seeds
-    after.forward(x2, training=True)
-    # update-after: the second batch was quantized with the pre-update range,
-    # but the update still lands afterwards
-    assert after.input_tracker.running_max == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
+    fc = QuantizedLinear(4, 2, rng=np.random.default_rng(0), quant_enabled=True)
+    fc.forward(x1, training=True)  # the first batch seeds the EMA
+    fc.forward(x2, training=True)
+    # the second batch folds into the EMA before it is quantized
+    assert fc.input_tracker.running_max == pytest.approx(0.9 * 2.0 + 0.1 * 4.0)
+    # so it saturates at the updated range, not at the seed's 2.0
+    x_used, _, _ = fc._cache
+    np.testing.assert_allclose(x_used, fc.input_tracker.running_max, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

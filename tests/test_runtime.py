@@ -119,8 +119,8 @@ def test_export_requires_initialized_trackers():
 def test_export_freezes_scales_and_bias():
     model, ids, _ = _trained_qat_model()
     frozen = export(model)
-    for (name, layer), blk_fc in zip(model.named_qlinears(),
-                                     _frozen_fcs(frozen)):
+    for name, layer in model.named_qlinears():
+        blk_fc = frozen.layers[name]
         s_w = weight_scale(layer.weight.value)
         np.testing.assert_array_equal(blk_fc.weight_q,
                                       quantize(layer.weight.value, s_w))
@@ -131,13 +131,6 @@ def test_export_freezes_scales_and_bias():
         np.testing.assert_array_equal(
             blk_fc.bias_q,
             quantize(layer.bias.value, bias_scale, INT32_MAX).astype(np.int32))
-
-
-def _frozen_fcs(frozen):
-    for blk in frozen.blocks:
-        yield from (blk.attn_q, blk.attn_k, blk.attn_v, blk.attn_out,
-                    blk.fc_expand, blk.fc_reduce)
-    yield frozen.classifier
 
 
 def test_frozen_model_matches_fake_quant_eval_path():
@@ -155,11 +148,11 @@ def test_frozen_model_matches_fake_quant_eval_path():
 def test_frozen_weights_are_int8():
     model, _, _ = _trained_qat_model()
     frozen = export(model)
-    for fc in _frozen_fcs(frozen):
-        assert fc.weight_q.dtype == np.int8
-        assert fc.bias_q.dtype == np.int32
-    assert frozen.token_emb.table_q.dtype == np.int8
-    assert frozen.pos_emb.table_q.dtype == np.int8
+    for name, _ in model.named_qlinears():
+        assert frozen.layers[name].weight_q.dtype == np.int8
+        assert frozen.layers[name].bias_q.dtype == np.int32
+    assert frozen.layers["token_emb"].table_q.dtype == np.int8
+    assert frozen.layers["pos_emb"].table_q.dtype == np.int8
 
 
 def test_export_is_deterministic():
@@ -178,7 +171,7 @@ def test_export_is_deterministic():
 def test_dq_weights_follow_weight_scale_grid():
     model = TransformerEncoderModel(TINY, quant_enabled=False, seed=0)
     dq = dq_quantize(model)
-    fc = dq.classifier
+    fc = dq.layers["classifier"]
     w = model.classifier.weight.value
     np.testing.assert_array_equal(fc.weight_q, quantize(w, weight_scale(w)))
     np.testing.assert_array_equal(fc.bias, model.classifier.bias.value)  # FP32
@@ -196,6 +189,13 @@ def test_dq_model_close_to_baseline_on_easy_inputs():
     agree = (base.argmax(axis=1) == dqq.argmax(axis=1)).mean()
     assert agree > 0.95
     np.testing.assert_allclose(dqq, base, atol=0.2)  # coarse numeric proximity
+
+
+def test_integer_models_hold_every_named_layer():
+    model, _, _ = _trained_qat_model()
+    names = [name for name, _ in model.named_modules()]
+    for integer in (export(model), dq_quantize(model)):
+        assert [name for name, _ in integer.named_modules()] == names
 
 
 def test_dq_accepts_qat_trained_weights_too():

@@ -5,8 +5,6 @@ from qat8.tensor import (
     INT_GEMM_MAX_K,
     CapacityError,
     ShapeError,
-    as_f32,
-    as_i8,
     gemm_f32,
     gemm_i8_i32,
 )
@@ -103,17 +101,3 @@ def test_gemm_i8_i32_at_cap_boundary():
     b = np.full((k, 1), 127, dtype=np.int8)
     assert gemm_i8_i32(a, b)[0, 0] == k * 127 * 127
 
-
-def test_as_f32_casts_and_checks():
-    out = as_f32([1, 2, 3])
-    assert out.dtype == np.float32
-    with pytest.raises(ValueError):
-        as_f32([np.inf])
-
-
-def test_as_i8_range_check():
-    assert as_i8([127, -127]).dtype == np.int8
-    with pytest.raises(ValueError):
-        as_i8([-128])
-    with pytest.raises(ValueError):
-        as_i8([200])
