@@ -241,6 +241,10 @@ def _read_tensors(header, payload) -> dict[str, tuple[np.ndarray, float | None]]
         array = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
         if entry["dtype"] == "f32" and not np.isfinite(array).all():
             raise FormatError(f"tensor {entry['name']} contains non-finite values")
+        # the Int8 grid is symmetric: quantization never produces -128
+        if entry["dtype"] == "i8" and array.size and array.min() == -128:
+            raise FormatError(f"tensor {entry['name']} contains -128, off the "
+                              "symmetric Int8 grid")
         out[entry["name"]] = (array, entry.get("scale"))
     return out
 
@@ -355,6 +359,5 @@ def inspect_header(data: bytes) -> dict:
         "num_tensors": len(header["tensors"]),
         "payload_bytes": len(payload),
         "payload_bytes_by_dtype": by_dtype,
-        "total_bytes": 9 + len(json.dumps(header, sort_keys=True,
-                                          separators=(",", ":")).encode()) + len(payload),
+        "total_bytes": len(data),
     }

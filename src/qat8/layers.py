@@ -48,11 +48,18 @@ class Parameter:
 # ---------------------------------------------------------------------------
 
 
+# The forward ops below work in place on one fresh buffer where they can,
+# so that a batch costs one allocation per result rather than one per step.
+# The order of their IEEE operations is part of the result: each gives the
+# bytes of its plain expression (tests/test_reference_ops.py).
+
+
 def softmax_forward(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, max-subtracted for stability."""
-    z = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True))
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=-1, keepdims=True)
+    return e
 
 
 def softmax_backward(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -61,10 +68,18 @@ def softmax_backward(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def gelu_forward(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation."""
+    """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3)))."""
     x = np.asarray(x, dtype=np.float32)
-    u = _GELU_C * (x + _GELU_A * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(u))
+    u = np.multiply(x, _GELU_A, out=np.empty_like(x))
+    u *= x
+    u *= x
+    u += x
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    y = np.multiply(x, 0.5, out=np.empty_like(x))
+    y *= u
+    return y
 
 
 def gelu_backward(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -77,13 +92,17 @@ def layer_norm_forward(x, gain, bias, eps=LAYER_NORM_EPS):
     """Normalize over the last axis with learned gain/bias.
 
     Returns (output, cache); pass the cache to :func:`layer_norm_backward`.
+    The output has the dtype of ``x``, which ``gain`` and ``bias`` share.
     """
     mu = np.mean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu)
+    y = np.multiply(xhat, xhat)
+    var = np.mean(y, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    return gain * xhat + bias, (xhat, inv)
+    xhat *= inv
+    np.multiply(gain, xhat, out=y)
+    y += bias
+    return y, (xhat, inv)
 
 
 def layer_norm_backward(upstream, gain, cache):

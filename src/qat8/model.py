@@ -37,8 +37,9 @@ class ModelConfig:
             raise ValueError(f"dim {self.dim} not divisible by {self.num_heads} heads")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must lie in (0, 1)")
-        if self.bits < 2:
-            raise ValueError("bits must be >= 2")
+        if not 2 <= self.bits <= 8:
+            # every integer path (export, dq, the Int8 GEMM) is Int8
+            raise ValueError(f"bits must lie in [2, 8], got {self.bits}")
 
 
 EMBEDDING = "embedding"

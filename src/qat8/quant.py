@@ -54,16 +54,19 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
 
     Rounding is half-away-from-zero, which keeps the map odd-symmetric.
     The product runs in float64 so the rounding decision reflects the real
-    product rather than a float32 intermediate.
+    product rather than a float32 intermediate. The final cast truncates
+    toward zero; clipping before it gives the same integers as clipping
+    after, because the bounds are integers.
     """
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if m < 1:
         raise ValueError(f"max quantized value must be >= 1, got {m}")
-    v = np.asarray(x, dtype=np.float64) * scale
-    r = np.trunc(v + np.copysign(0.5, v))
-    return np.clip(r, -m, m).astype(_int_dtype_for(m))
+    v = np.multiply(x, scale, out=np.empty(np.shape(x)), dtype=np.float64)
+    v += np.copysign(0.5, v)
+    np.clip(v, -m, m, out=v)
+    return v.astype(_int_dtype_for(m))
 
 
 def dequantize(q, scale: float) -> np.ndarray:

@@ -83,8 +83,10 @@ def int8_linear_infer(layer: QuantizedLinearFrozen, x, m: int = 127) -> np.ndarr
         raise ShapeError(f"expected last dim {layer.weight_q.shape[1]}, got {x.shape}")
     lead = x.shape[:-1]
     x_q = quantize(x.reshape(-1, x.shape[-1]), layer.input_scale, m)
-    acc = gemm_i8_i32(x_q, layer.weight_q.T) + layer.bias_q[None, :]
-    y = acc.astype(np.float32) / layer.bias_scale
+    acc = gemm_i8_i32(x_q, layer.weight_q.T)
+    acc += layer.bias_q
+    y = acc.astype(np.float32)
+    y /= layer.bias_scale
     return y.reshape(lead + (layer.weight_q.shape[0],))
 
 
@@ -96,9 +98,9 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x, m: int = 127) -> np.ndarr
     lead = x.shape[:-1]
     x2 = x.reshape(-1, x.shape[-1])
     s_x = dynamic_scale(x2, m)
-    acc = gemm_i8_i32(quantize(x2, s_x, m), layer.weight_q.T)
-    y = acc.astype(np.float32) / (np.float32(s_x) * np.float32(layer.weight_scale))
-    y = y + layer.bias
+    y = gemm_i8_i32(quantize(x2, s_x, m), layer.weight_q.T).astype(np.float32)
+    y /= np.float32(s_x) * np.float32(layer.weight_scale)
+    y += layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))
 
 

@@ -6,6 +6,14 @@ Conventions used throughout the package:
 * Int8 tensors hold values in ``[-127, 127]`` for 8-bit quantization
   (``-128`` is never produced, keeping the grid symmetric around zero).
 * Int32 tensors appear only as GEMM accumulators and quantized biases.
+
+Both GEMMs run on the float BLAS that NumPy links. The integer GEMM is
+still exact: with Int8 operands every product is an integer of magnitude
+at most 128**2 = 2**14, so every partial sum of a K-term dot product is an
+integer of magnitude at most K * 2**14. A float type holds every integer up
+to 2**24 (float32) or 2**53 (float64) exactly, so while that bound fits,
+every addition the BLAS kernel makes is exact, whatever order it sums in,
+and the result equals the Int32 accumulation bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 # Inner-dimension cap for the integer GEMM. With 8-bit operands,
-# 2**15 * 127 * 127 < 2**31, so the Int32 accumulator cannot overflow.
+# 2**15 * 128 * 128 = 2**29 < 2**31, so the Int32 accumulator cannot overflow.
 INT_GEMM_MAX_K = 1 << 15
+
+# Largest inner dimension for which float32 accumulation is exact:
+# 1024 * 128 * 128 = 2**24, the end of float32's run of exact integers.
+_F32_EXACT_MAX_K = (1 << 24) // (128 * 128)
 
 
 class ShapeError(ValueError):
@@ -54,6 +66,11 @@ def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     The inner dimension is capped at ``INT_GEMM_MAX_K`` so the accumulator
     cannot overflow; within that cap the result is exact and independent of
     summation order.
+
+    The product runs as a float BLAS GEMM (see the module docstring): in
+    float32 while K * 128**2 <= 2**24 (K <= 1024, every GEMM of the default
+    model), in float64 above that, where K * 128**2 <= 2**29 stays far below
+    2**53. The exact integer result is then converted to Int32.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -65,4 +82,5 @@ def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"inner dimension {a.shape[1]} exceeds {INT_GEMM_MAX_K}; "
             "Int32 accumulator could overflow"
         )
-    return np.matmul(a.astype(np.int32), b.astype(np.int32))
+    ftype = np.float32 if a.shape[1] <= _F32_EXACT_MAX_K else np.float64
+    return np.matmul(a.astype(ftype), b.astype(ftype)).astype(np.int32)

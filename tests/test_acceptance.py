@@ -223,7 +223,7 @@ def test_c4_integer_fake_quant_equivalence():
 
 
 def test_c5_int_gemm_oracle():
-    with criterion("C5", "int8 GEMM equals FP32-cast GEMM on 1e4 cases", 10.0):
+    with criterion("C5", "int8 GEMM equals the int64 GEMM on 1e4 cases", 10.0):
         a = np.array([[127, 127]], dtype=np.int8)
         b = np.array([[127], [127]], dtype=np.int8)
         np.testing.assert_array_equal(gemm_i8_i32(a, b), [[32258]])
@@ -231,12 +231,13 @@ def test_c5_int_gemm_oracle():
         rng = np.random.default_rng(9)
         for _ in range(10_000):
             m = int(rng.integers(1, 9))
-            k = int(rng.integers(1, 65))
+            # K past 1024 takes the float64 path
+            k = int(rng.integers(1, 2049))
             n = int(rng.integers(1, 9))
-            a = rng.integers(-127, 128, size=(m, k)).astype(np.int8)
-            b = rng.integers(-127, 128, size=(k, n)).astype(np.int8)
+            a = rng.integers(-128, 128, size=(m, k)).astype(np.int8)
+            b = rng.integers(-128, 128, size=(k, n)).astype(np.int8)
             got = gemm_i8_i32(a, b)
-            oracle = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
+            oracle = np.matmul(a.astype(np.int64), b.astype(np.int64))
             np.testing.assert_array_equal(got, oracle)
 
 

@@ -112,6 +112,16 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_on_bits_above_8(tmp_path, capsys):
+    # every integer path is Int8, so a wider grid is a config error up front
+    rc = main(["train", "--mode", "qat", "--out", str(tmp_path / "x.qat"),
+               *FAST, "--set", "bits=12"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bits" in err and "Traceback" not in err
+    assert not (tmp_path / "x.qat").exists()
+
+
 def test_exit_code_4_on_damaged_artifact(tmp_path, capsys):
     bad = tmp_path / "bad.qat"
     bad.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -125,6 +135,22 @@ def test_exit_code_4_on_mistyped_header(tmp_path, capsys):
     bad.write_bytes(b"QAT1\x01" + len(header).to_bytes(4, "little") + header)
     assert main(["inspect", "--model", str(bad)]) == 4
     assert "header" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_int8_minus_128(tmp_path, capsys):
+    model = _train(tmp_path, "qat", "qat.qat")
+    frozen = tmp_path / "frozen.qat"
+    assert main(["quantize", "--model", str(model), "--method", "export",
+                 "--out", str(frozen)]) == 0
+    data = bytearray(frozen.read_bytes())
+    header_len = int.from_bytes(data[5:9], "little")
+    header = json.loads(data[9:9 + header_len])
+    entry = next(e for e in header["tensors"] if e["dtype"] == "i8")
+    data[9 + header_len + entry["offset"]] = 0x80
+    frozen.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(frozen), *FAST]) == 4
+    assert "-128" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_missing_file(tmp_path, capsys):

@@ -202,6 +202,16 @@ def test_rejects_non_finite_weights(models):
         deserialize(_rebuild(header, bytes(mutated)))
 
 
+@pytest.mark.parametrize("kind", ["frozen", "dq"])
+def test_rejects_int8_minus_128(models, kind):
+    header, _, payload = _split(serialize(models[kind]))
+    entry = next(e for e in header["tensors"] if e["name"] == "blocks.0.attn.k_proj.weight_q")
+    mutated = bytearray(payload)
+    mutated[entry["offset"]] = 0x80
+    with pytest.raises(FormatError, match="-128"):
+        deserialize(_rebuild(header, bytes(mutated)))
+
+
 def test_rejects_unknown_kind(models):
     header, _, payload = _split(serialize(models["fp32"]))
     header["kind"] = "int4"
@@ -275,6 +285,8 @@ def _set_header(key, value):
     pytest.param(_set_header("kind", ["fp32"]), False, id="list-kind"),
     pytest.param(_set_header("config", [1, 2]), False, id="list-config"),
     pytest.param(_set_header("config", {"dim": "48"}), False, id="string-dim"),
+    pytest.param(lambda header: {**header, "config": {**header["config"], "bits": 12}},
+                 False, id="bits-12"),
     pytest.param(_set_header("input_scales", [1.0]), False, id="list-input-scales"),
 ])
 def test_rejects_mistyped_header(models, mutate, in_container):
@@ -293,3 +305,13 @@ def test_inspect_header_reports_sizes(models):
     assert info["kind"] == "int8-frozen"
     assert info["total_bytes"] == len(data)
     assert info["payload_bytes"] == sum(info["payload_bytes_by_dtype"].values())
+
+
+def test_inspect_header_reports_the_file_size(models):
+    # a header written with other JSON spacing is still valid; the total is
+    # the file's size, not that of the header re-encoded
+    header, _, payload = _split(serialize(models["frozen"]))
+    blob = json.dumps(header, indent=1).encode()
+    data = MAGIC + bytes([1]) + struct.pack("<I", len(blob)) + blob + payload
+    deserialize(data)
+    assert inspect_header(data)["total_bytes"] == len(data)

@@ -92,7 +92,7 @@ def test_gemm_i8_i32_inner_dim_cap():
     with pytest.raises(CapacityError):
         gemm_i8_i32(a, b)
     # at the cap, the worst case still fits an int32 accumulator
-    assert k * 127 * 127 < 2**31 - 1
+    assert k * 128 * 128 < 2**31 - 1
 
 
 def test_gemm_i8_i32_at_cap_boundary():
@@ -100,4 +100,45 @@ def test_gemm_i8_i32_at_cap_boundary():
     a = np.full((1, k), 127, dtype=np.int8)
     b = np.full((k, 1), 127, dtype=np.int8)
     assert gemm_i8_i32(a, b)[0, 0] == k * 127 * 127
+
+
+def test_gemm_i8_i32_at_cap_with_minus_128():
+    # the int8 dtype admits -128: the worst case is 2**15 * 128**2 = 2**29
+    k = INT_GEMM_MAX_K
+    a = np.full((1, k), -128, dtype=np.int8)
+    out = gemm_i8_i32(a, a.T.copy())
+    assert out.dtype == np.int32
+    assert out[0, 0] == 2**29
+
+
+def _int64_gemm(a, b):
+    return np.matmul(a.astype(np.int64), b.astype(np.int64))
+
+
+# float32 holds every integer up to 2**24 = 1024 * 128**2 exactly; the kernel
+# switches to float64 above K = 1024
+@pytest.mark.parametrize("k", [1024, 1025])
+@pytest.mark.parametrize("value", [127, -128])
+def test_gemm_i8_i32_float32_limit(k, value):
+    a = np.full((2, k), value, dtype=np.int8)
+    b = np.full((k, 3), value, dtype=np.int8)
+    b[:, 1] = -127  # a column of products of the other sign
+    got = gemm_i8_i32(a, b)
+    assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, _int64_gemm(a, b))
+
+
+def test_gemm_i8_i32_just_past_float32_limit_is_exact():
+    # 1024 * (-128)**2 + 1 = 2**24 + 1, the first integer float32 cannot hold
+    a = np.full((1, 1025), -128, dtype=np.int8)
+    a[0, -1] = 1
+    assert gemm_i8_i32(a, a.T.copy())[0, 0] == 2**24 + 1
+
+
+def test_gemm_i8_i32_matches_int64_oracle_at_model_shape():
+    # the 256-row batch through fc_reduce: (256 * 16, 192) x (192, 48)
+    rng = np.random.default_rng(3)
+    a = rng.integers(-128, 128, size=(4096, 192)).astype(np.int8)
+    w = rng.integers(-128, 128, size=(48, 192)).astype(np.int8)
+    np.testing.assert_array_equal(gemm_i8_i32(a, w.T), _int64_gemm(a, w.T))
 
