@@ -6,7 +6,6 @@ from .format import FormatError, deserialize, load_artifact, save_artifact, seri
 from .model import ModelConfig, TransformerEncoderModel
 from .quant import (
     EmaTracker,
-    QuantParams,
     TrackerStateError,
     activation_scale,
     dequantize,
@@ -38,7 +37,6 @@ __all__ = [
     "ExportError",
     "FormatError",
     "ModelConfig",
-    "QuantParams",
     "QuantizedModelFrozen",
     "RunConfig",
     "ShapeError",

@@ -21,19 +21,14 @@ from .format import (
 from .model import TransformerEncoderModel
 from .quant import TrackerStateError
 from .runtime import ExportError, dq_quantize, export
-from .task import run_comparison
-from .training import TrainingDivergedError, accuracy_of, train
+from .task import percent_accuracy, run_comparison
+from .training import TrainingDivergedError, train
 
 
 def _write_json(path: str, payload: dict):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def _eval_accuracy(model, inputs, labels, batch_size: int) -> float:
-    return 100.0 * accuracy_of(model.predict_logits, inputs, labels,
-                               batch_size=batch_size)
 
 
 def _cmd_train(args) -> int:
@@ -48,7 +43,7 @@ def _cmd_train(args) -> int:
     # A QAT run is scored through the exported integer path, which is what
     # would actually ship; an FP32 run is scored as-is.
     scored = export(model) if quantized else model
-    acc = _eval_accuracy(scored, eval_x, eval_y, cfg.eval_batch)
+    acc = percent_accuracy(scored, eval_x, eval_y, cfg.eval_batch)
 
     data = save_artifact(model, args.out)
     print(f"mode: {args.mode}")
@@ -93,7 +88,7 @@ def _cmd_eval(args) -> int:
     train_x, train_y, eval_x, eval_y = task.splits(cfg.num_train, cfg.num_eval)
     inputs, labels = ((train_x, train_y) if args.split == "train"
                       else (eval_x, eval_y))
-    acc = _eval_accuracy(model, inputs, labels, cfg.eval_batch)
+    acc = percent_accuracy(model, inputs, labels, cfg.eval_batch)
     print(f"{args.split} accuracy: {acc:.2f}% ({len(labels)} examples)")
     return 0
 

@@ -90,20 +90,6 @@ def _is_scale(v) -> bool:
             and math.isfinite(v) and v > 0)
 
 
-def _config_dict(config: ModelConfig) -> dict:
-    return {
-        "vocab_size": config.vocab_size,
-        "max_seq_len": config.max_seq_len,
-        "num_classes": config.num_classes,
-        "dim": config.dim,
-        "num_heads": config.num_heads,
-        "ffn_dim": config.ffn_dim,
-        "num_layers": config.num_layers,
-        "bits": config.bits,
-        "ema_decay": config.ema_decay,
-    }
-
-
 def artifact_kind(model) -> str:
     if isinstance(model, TransformerEncoderModel):
         return KIND_QAT if model.quant_enabled else KIND_FP32
@@ -156,7 +142,7 @@ def serialize(model) -> bytes:
         chunks.append(raw)
         offset += len(raw)
 
-    header = {"kind": kind, "config": _config_dict(model.config),
+    header = {"kind": kind, "config": vars(model.config),
               "tensors": directory, **extra}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     return b"".join(
@@ -318,7 +304,12 @@ def _restore_integer_model(header, tensors, config, kind):
                 raise FormatError(f"artifact has no valid input scale for {name!r}")
             fields["input_scale"] = np.float32(input_scales[name])
         layers[name] = layer_classes[layer_kind](**fields)
-    return model_cls(config, layers)
+    model = model_cls(config, layers)
+    wrapping = model.overflowing_layers() if kind == KIND_FROZEN else []
+    if wrapping:
+        raise FormatError("Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1 "
+                          f"in {', '.join(wrapping)}")
+    return model
 
 
 def deserialize(data: bytes):

@@ -1,9 +1,10 @@
 """Network layers with hand-written forward and backward passes.
 
-Linear and embedding layers are quantization-capable: with quantization
-enabled they fake-quantize their weights (and, for linear, their inputs)
-during the forward pass and back-propagate through the rounding with the
-straight-through estimator. Softmax, layer norm and GELU are plain FP32
+Linear and embedding layers are quantization-capable: given a grid max
+``m`` they fake-quantize their weights (and, for linear, their inputs) onto
+the symmetric grid [-m, m] during the forward pass and back-propagate
+through the rounding with the straight-through estimator; with ``m=None``
+they are plain FP32. Softmax, layer norm and GELU are plain FP32
 and have no quantized variants.
 """
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from .quant import (
     EmaTracker,
-    QuantParams,
     activation_scale,
     ema_update,
     fake_quantize,
@@ -88,7 +88,7 @@ def gelu_backward(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
     return upstream * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
-def layer_norm_forward(x, gain, bias, eps=LAYER_NORM_EPS):
+def layer_norm_forward(x, gain, bias):
     """Normalize over the last axis with learned gain/bias.
 
     Returns (output, cache); pass the cache to :func:`layer_norm_backward`.
@@ -98,7 +98,7 @@ def layer_norm_forward(x, gain, bias, eps=LAYER_NORM_EPS):
     xhat = np.subtract(x, mu)
     y = np.multiply(xhat, xhat)
     var = np.mean(y, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     np.multiply(gain, xhat, out=y)
     y += bias
@@ -126,13 +126,23 @@ def layer_norm_backward(upstream, gain, cache):
 # ---------------------------------------------------------------------------
 
 
+def embedding_ids(ids, num_entries: int) -> np.ndarray:
+    """The ids as an integer array, each in [0, num_entries)."""
+    ids = np.asarray(ids)
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise TypeError(f"embedding ids must be integers, got {ids.dtype}")
+    if ids.size and (ids.min() < 0 or ids.max() >= num_entries):
+        raise IndexError(f"embedding ids out of range [0, {num_entries})")
+    return ids
+
+
 class QuantizedLinear:
-    """FC layer that fake-quantizes its input and weight when enabled.
+    """FC layer that fake-quantizes its input and weight onto [-m, m].
 
     The FP32 master weight is the only thing the optimizer ever touches;
     fake quantization produces fresh arrays each forward. The bias is added
-    in FP32, untouched by training-time quantization. With quantization
-    disabled this is a plain FP32 linear layer.
+    in FP32, untouched by training-time quantization. With ``m=None`` this
+    is a plain FP32 linear layer.
     """
 
     def __init__(
@@ -141,16 +151,14 @@ class QuantizedLinear:
         out_features: int,
         *,
         rng: np.random.Generator,
-        params: QuantParams = QuantParams(),
-        quant_enabled: bool = False,
+        m: int | None = None,
         ema_decay: float = 0.9,
     ):
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features))
-        self.params = params
-        self.quant_enabled = quant_enabled
+        self.m = m
         self.input_tracker = EmaTracker(decay=ema_decay)
         self._cache = None
 
@@ -164,8 +172,8 @@ class QuantizedLinear:
         lead = x.shape[:-1]
         x2 = x.reshape(-1, self.in_features)
 
-        if self.quant_enabled:
-            m = self.params.max_value
+        m = self.m
+        if m is not None:
             if training:
                 # the batch's own max joins the EMA before it is quantized
                 ema_update(self.input_tracker, float(np.max(np.abs(x2))))
@@ -207,7 +215,8 @@ class QuantizedLinear:
 
 
 class QuantizedEmbedding:
-    """Lookup table returning fake-quantized rows when quantization is on.
+    """Lookup table returning rows fake-quantized onto [-m, m], or FP32 rows
+    with ``m=None``.
 
     The table is quantized with its own weight scale (max |table|); there is
     no activation tracker because the rows are weights, not activations.
@@ -219,27 +228,21 @@ class QuantizedEmbedding:
         dim: int,
         *,
         rng: np.random.Generator,
-        params: QuantParams = QuantParams(),
-        quant_enabled: bool = False,
+        m: int | None = None,
     ):
         self.num_entries = num_entries
         self.dim = dim
         self.table = Parameter(rng.normal(0.0, 0.02, size=(num_entries, dim)))
-        self.params = params
-        self.quant_enabled = quant_enabled
+        self.m = m
         self._cache = None
 
     def named_params(self):
         return [("table", self.table)]
 
     def forward(self, ids, training: bool = False) -> np.ndarray:
-        ids = np.asarray(ids)
-        if not np.issubdtype(ids.dtype, np.integer):
-            raise TypeError(f"embedding ids must be integers, got {ids.dtype}")
-        if ids.size and (ids.min() < 0 or ids.max() >= self.num_entries):
-            raise IndexError(f"embedding ids out of range [0, {self.num_entries})")
-        if self.quant_enabled:
-            m = self.params.max_value
+        ids = embedding_ids(ids, self.num_entries)
+        m = self.m
+        if m is not None:
             table_used = fake_quantize(
                 self.table.value, weight_scale(self.table.value, m), m
             )
@@ -259,9 +262,8 @@ class QuantizedEmbedding:
 
 
 class LayerNorm:
-    def __init__(self, dim: int, eps: float = LAYER_NORM_EPS):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.eps = eps
         self.gain = Parameter(np.ones(dim))
         self.bias = Parameter(np.zeros(dim))
         self._cache = None
@@ -270,7 +272,7 @@ class LayerNorm:
         return [("gain", self.gain), ("bias", self.bias)]
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        y, cache = layer_norm_forward(x, self.gain.value, self.bias.value, self.eps)
+        y, cache = layer_norm_forward(x, self.gain.value, self.bias.value)
         if training:
             self._cache = cache
         return y
@@ -327,13 +329,12 @@ class _Container:
 class MultiHeadAttention(_Container):
     """Self-attention with quantization-capable q/k/v/output projections."""
 
-    def __init__(self, dim, num_heads, *, rng, params=QuantParams(), quant_enabled=False,
-                 ema_decay=0.9):
+    def __init__(self, dim, num_heads, *, rng, m=None, ema_decay=0.9):
         if dim % num_heads != 0:
             raise ShapeError(f"dim {dim} not divisible by {num_heads} heads")
         self.dim = dim
         self.num_heads = num_heads
-        kw = dict(rng=rng, params=params, quant_enabled=quant_enabled, ema_decay=ema_decay)
+        kw = dict(rng=rng, m=m, ema_decay=ema_decay)
         self.q_proj = QuantizedLinear(dim, dim, **kw)
         self.k_proj = QuantizedLinear(dim, dim, **kw)
         self.v_proj = QuantizedLinear(dim, dim, **kw)
@@ -370,9 +371,8 @@ class MultiHeadAttention(_Container):
 class EncoderBlock(_Container):
     """Post-norm transformer encoder block: attention and GELU feed-forward."""
 
-    def __init__(self, dim, num_heads, ffn_dim, *, rng, params=QuantParams(),
-                 quant_enabled=False, ema_decay=0.9):
-        kw = dict(rng=rng, params=params, quant_enabled=quant_enabled, ema_decay=ema_decay)
+    def __init__(self, dim, num_heads, ffn_dim, *, rng, m=None, ema_decay=0.9):
+        kw = dict(rng=rng, m=m, ema_decay=ema_decay)
         self.attn = MultiHeadAttention(dim, num_heads, **kw)
         self.norm_attn = LayerNorm(dim)
         self.fc_expand = QuantizedLinear(dim, ffn_dim, **kw)

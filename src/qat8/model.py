@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import EncoderBlock, LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
-from .quant import QuantParams
+from .quant import max_quant_value
 from .tensor import ShapeError
 
 
@@ -72,6 +72,18 @@ def layer_tree(config: ModelConfig):
     yield "classifier", LINEAR, (config.num_classes, d)
 
 
+def ids_and_positions(ids, config: ModelConfig):
+    """Check that ids are (batch, seq) with seq <= max_seq_len; return the
+    ids as an array and their position ids."""
+    ids = np.asarray(ids)
+    if ids.ndim != 2:
+        raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
+    batch, seq = ids.shape
+    if seq > config.max_seq_len:
+        raise ShapeError(f"sequence length {seq} exceeds {config.max_seq_len}")
+    return ids, np.broadcast_to(np.arange(seq), (batch, seq))
+
+
 class TransformerEncoderModel:
     """Token + position embeddings, encoder blocks, first-token classifier."""
 
@@ -79,15 +91,11 @@ class TransformerEncoderModel:
         self.config = config
         self.quant_enabled = quant_enabled
         rng = np.random.default_rng(seed)
-        params = QuantParams(bits=config.bits)
-        kw = dict(rng=rng, params=params, quant_enabled=quant_enabled,
-                  ema_decay=config.ema_decay)
-        self.token_emb = QuantizedEmbedding(
-            config.vocab_size, config.dim, rng=rng, params=params,
-            quant_enabled=quant_enabled)
-        self.pos_emb = QuantizedEmbedding(
-            config.max_seq_len, config.dim, rng=rng, params=params,
-            quant_enabled=quant_enabled)
+        # one symmetric grid for every quantized layer, or none for FP32
+        m = max_quant_value(config.bits) if quant_enabled else None
+        kw = dict(rng=rng, m=m, ema_decay=config.ema_decay)
+        self.token_emb = QuantizedEmbedding(config.vocab_size, config.dim, rng=rng, m=m)
+        self.pos_emb = QuantizedEmbedding(config.max_seq_len, config.dim, rng=rng, m=m)
         self.emb_norm = LayerNorm(config.dim)
         self.blocks = [
             EncoderBlock(config.dim, config.num_heads, config.ffn_dim, **kw)
@@ -124,19 +132,13 @@ class TransformerEncoderModel:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, ids, training: bool = False) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
-        batch, seq = ids.shape
-        if seq > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
-        pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
+        ids, pos_ids = ids_and_positions(ids, self.config)
         x = self.token_emb.forward(ids, training) + self.pos_emb.forward(pos_ids, training)
         x = self.emb_norm.forward(x, training)
         for block in self.blocks:
             x = block.forward(x, training)
         if training:
-            self._batch_shape = (batch, seq)
+            self._batch_shape = ids.shape
         return self.classifier.forward(x[:, 0, :], training)
 
     def backward(self, d_logits) -> None:

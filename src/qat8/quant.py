@@ -1,4 +1,4 @@
-"""Symmetric linear quantization: scales, rounding, fake quantization, STE.
+"""Symmetric linear quantization: scales, rounding and fake quantization.
 
 The scheme maps FP32 values onto a uniform integer grid centered at zero:
 
@@ -25,20 +25,6 @@ def max_quant_value(bits: int) -> int:
     if bits < 2:
         raise ValueError(f"bit-width must be >= 2, got {bits}")
     return (1 << (bits - 1)) - 1
-
-
-@dataclass(frozen=True)
-class QuantParams:
-    """Quantization bit-width and derived grid maximum."""
-
-    bits: int = 8
-
-    def __post_init__(self):
-        max_quant_value(self.bits)  # validates
-
-    @property
-    def max_value(self) -> int:
-        return max_quant_value(self.bits)
 
 
 def _int_dtype_for(m: int):
@@ -163,11 +149,3 @@ def fake_quantize(x, scale: float, m: int = 127) -> np.ndarray:
     incur is visible to FP32 training.
     """
     return dequantize(quantize(x, scale, m), scale)
-
-
-def fake_quantize_grad(upstream: np.ndarray) -> np.ndarray:
-    """Straight-through estimator: the gradient of fake quantization is 1.
-
-    Pure pass-through, with no clipping for saturated forward values.
-    """
-    return upstream

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import attention_mix, gelu_forward, layer_norm_forward
-from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
+from .layers import attention_mix, embedding_ids, gelu_forward, layer_norm_forward
+from .model import (EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel,
+                    ids_and_positions, layer_tree)
 from .quant import activation_scale, dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import ShapeError, gemm_i8_i32
 
@@ -61,9 +62,7 @@ class QuantizedEmbeddingFrozen:
     scale: np.float32
 
     def lookup(self, ids) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.table_q.shape[0]):
-            raise IndexError(f"embedding ids out of range [0, {self.table_q.shape[0]})")
+        ids = embedding_ids(ids, self.table_q.shape[0])
         return self.table_q[ids].astype(np.float32) / np.float32(self.scale)
 
 
@@ -104,6 +103,11 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x, m: int = 127) -> np.ndarr
     return y.reshape(lead + (layer.weight_q.shape[0],))
 
 
+def _peak(q) -> int:
+    """max |q| of an integer array, exact even for -2**31."""
+    return int(np.abs(q, dtype=np.int64).max())
+
+
 class _IntegerEncoder:
     """Forward pass shared by the frozen and dynamic integer models.
 
@@ -115,6 +119,7 @@ class _IntegerEncoder:
     def __init__(self, config: ModelConfig, layers: dict):
         self.config = config
         self.layers = layers
+        self.m = max_quant_value(config.bits)
         # group the layers once, here, so forward does no name lookups: the
         # encoder blocks' layers by block, the rest in forward order
         outer, self._blocks = [], [[] for _ in range(config.num_layers)]
@@ -132,13 +137,7 @@ class _IntegerEncoder:
         raise NotImplementedError
 
     def forward(self, ids) -> np.ndarray:
-        ids = np.asarray(ids)
-        if ids.ndim != 2:
-            raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
-        batch, seq = ids.shape
-        if seq > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
-        pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
+        ids, pos_ids = ids_and_positions(ids, self.config)
         x = self._token_emb.lookup(ids) + self._pos_emb.lookup(pos_ids)
         x, _ = layer_norm_forward(x, self._emb_norm.gain, self._emb_norm.bias)
         for q, k, v, out, norm_attn, fc_expand, fc_reduce, norm_ffn in self._blocks:
@@ -158,14 +157,32 @@ class QuantizedModelFrozen(_IntegerEncoder):
     """Exported model: Int8 weights, Int32 biases, frozen scales."""
 
     def _linear(self, layer, x):
-        return int8_linear_infer(layer, x, max_quant_value(self.config.bits))
+        return int8_linear_infer(layer, x, self.m)
+
+    def overflowing_layers(self) -> list[str]:
+        """The FC layers whose Int32 accumulator can wrap on some input.
+
+        Inputs and weights lie on the grid [-m, m], so |x_q . w_q| <= K m**2
+        for inner dimension K, and ``acc = x_q . w_q + bias_q`` fits in Int32
+        for every input exactly when max|bias_q| + K m**2 <= 2**31 - 1.
+        """
+        fcs = {name: layer for name, layer in self.layers.items()
+               if isinstance(layer, QuantizedLinearFrozen)}
+        headroom = {name: INT32_MAX - layer.weight_q.shape[1] * self.m ** 2
+                    for name, layer in fcs.items()}
+        # one pass over all the biases against the tightest headroom settles
+        # the usual case at a fraction of the cost of one pass per layer
+        biases = np.concatenate([layer.bias_q for layer in fcs.values()])
+        if _peak(biases) <= min(headroom.values()):
+            return []
+        return [name for name, layer in fcs.items() if _peak(layer.bias_q) > headroom[name]]
 
 
 class DynamicQuantModel(_IntegerEncoder):
     """Post-training model: Int8 weights, FP32 biases, per-tensor dynamic scales."""
 
     def _linear(self, layer, x):
-        return dynamic_linear_infer(layer, x, max_quant_value(self.config.bits))
+        return dynamic_linear_infer(layer, x, self.m)
 
 
 def _freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
@@ -223,7 +240,14 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             "model was never trained with quantization: no activation statistics "
             f"for {', '.join(uninitialized)}"
         )
-    return _convert(model, QuantizedModelFrozen, _freeze_linear)
+    frozen = _convert(model, QuantizedModelFrozen, _freeze_linear)
+    wrapping = frozen.overflowing_layers()
+    if wrapping:
+        raise ExportError(
+            "Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1, so the "
+            f"accumulator could wrap, in {', '.join(wrapping)}"
+        )
+    return frozen
 
 
 def dq_quantize(model: TransformerEncoderModel) -> DynamicQuantModel:

@@ -153,6 +153,23 @@ def test_exit_code_4_on_int8_minus_128(tmp_path, capsys):
     assert "-128" in capsys.readouterr().err
 
 
+def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):
+    model = _train(tmp_path, "qat", "qat.qat")
+    frozen = tmp_path / "frozen.qat"
+    assert main(["quantize", "--model", str(model), "--method", "export",
+                 "--out", str(frozen)]) == 0
+    data = bytearray(frozen.read_bytes())
+    header_len = int.from_bytes(data[5:9], "little")
+    header = json.loads(data[9:9 + header_len])
+    entry = next(e for e in header["tensors"] if e["name"] == "classifier.bias_q")
+    start = 9 + header_len + entry["offset"]
+    data[start:start + 4] = (2**31 - 1).to_bytes(4, "little", signed=True)
+    frozen.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(frozen), *FAST]) == 4
+    assert "Int32 bias" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_file(tmp_path, capsys):
     assert main(["eval", "--model", str(tmp_path / "none.qat"), *FAST]) == 2
     capsys.readouterr()

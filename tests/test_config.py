@@ -1,6 +1,9 @@
 import pytest
 
 from qat8.config import RunConfig, load_config, parse_overrides
+from qat8.model import ModelConfig
+from qat8.task import SyntheticTask
+from qat8.training import TrainConfig
 
 
 def test_defaults_build_valid_components():
@@ -9,6 +12,14 @@ def test_defaults_build_valid_components():
     assert mc.dim == 48 and mc.num_heads == 4
     assert cfg.task().seq_len == mc.max_seq_len
     assert cfg.train_config().epochs == cfg.epochs
+
+
+def test_run_defaults_are_the_package_defaults():
+    # `qat8 train` with no config builds exactly the package's default objects
+    cfg = RunConfig()
+    assert cfg.model_config() == ModelConfig()
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.task() == SyntheticTask()
 
 
 def test_load_config_file(tmp_path):

@@ -212,6 +212,15 @@ def test_rejects_int8_minus_128(models, kind):
         deserialize(_rebuild(header, bytes(mutated)))
 
 
+def test_rejects_int32_bias_that_could_wrap(models):
+    header, _, payload = _split(serialize(models["frozen"]))
+    entry = next(e for e in header["tensors"] if e["name"] == "classifier.bias_q")
+    mutated = bytearray(payload)
+    mutated[entry["offset"]:entry["offset"] + 4] = struct.pack("<i", 2**31 - 1)
+    with pytest.raises(FormatError, match="classifier"):
+        deserialize(_rebuild(header, bytes(mutated)))
+
+
 def test_rejects_unknown_kind(models):
     header, _, payload = _split(serialize(models["fp32"]))
     header["kind"] = "int4"

@@ -175,7 +175,7 @@ def test_linear_fp32_gradients(rng):
 def test_quantized_linear_forward_uses_grid_operands(rng):
     from qat8.quant import activation_scale
 
-    fc = QuantizedLinear(6, 4, rng=rng, quant_enabled=True)
+    fc = QuantizedLinear(6, 4, rng=rng, m=127)
     x = rng.normal(size=(8, 6)).astype(np.float32)
     out = fc.forward(x, training=True)
     x_used, w_used, _ = fc._cache
@@ -190,7 +190,7 @@ def test_quantized_linear_forward_uses_grid_operands(rng):
 
 def test_quantized_linear_ste_backward_is_exact(rng):
     # straight-through: grads are plain matmuls against the quantized operands
-    fc = QuantizedLinear(6, 4, rng=rng, quant_enabled=True)
+    fc = QuantizedLinear(6, 4, rng=rng, m=127)
     x = rng.normal(size=(8, 6)).astype(np.float32)
     fc.forward(x, training=True)
     x_used, w_used, _ = fc._cache
@@ -203,7 +203,7 @@ def test_quantized_linear_ste_backward_is_exact(rng):
 
 def test_quantized_linear_ste_has_no_range_mask(rng):
     # inputs far beyond the tracked range still receive full gradient
-    fc = QuantizedLinear(4, 3, rng=rng, quant_enabled=True)
+    fc = QuantizedLinear(4, 3, rng=rng, m=127)
     fc.forward(np.full((2, 4), 0.1, np.float32), training=True)  # seeds EMA small
     x = np.full((2, 4), 50.0, np.float32)  # way outside the clip range
     fc.forward(x, training=True)
@@ -212,7 +212,7 @@ def test_quantized_linear_ste_has_no_range_mask(rng):
 
 
 def test_master_weights_stay_off_grid_fp32(rng):
-    fc = QuantizedLinear(6, 4, rng=rng, quant_enabled=True)
+    fc = QuantizedLinear(6, 4, rng=rng, m=127)
     before = fc.weight.value.copy()
     fc.forward(rng.normal(size=(2, 6)).astype(np.float32), training=True)
     assert fc.weight.value.dtype == np.float32
@@ -222,7 +222,7 @@ def test_master_weights_stay_off_grid_fp32(rng):
 def test_ema_ordering_flag(rng):
     x1 = np.full((1, 4), 2.0, np.float32)
     x2 = np.full((1, 4), 4.0, np.float32)
-    fc = QuantizedLinear(4, 2, rng=np.random.default_rng(0), quant_enabled=True)
+    fc = QuantizedLinear(4, 2, rng=np.random.default_rng(0), m=127)
     fc.forward(x1, training=True)  # the first batch seeds the EMA
     fc.forward(x2, training=True)
     # the second batch folds into the EMA before it is quantized
@@ -242,7 +242,7 @@ def test_embedding_lookup_plain_and_quantized(rng):
     ids = np.array([[0, 3], [9, 3]])
     np.testing.assert_array_equal(emb.forward(ids), emb.table.value[ids])
 
-    emb_q = QuantizedEmbedding(10, 4, rng=rng, quant_enabled=True)
+    emb_q = QuantizedEmbedding(10, 4, rng=rng, m=127)
     out = emb_q.forward(ids)
     scale = weight_scale(emb_q.table.value)
     expected = dequantize(quantize(emb_q.table.value, scale), scale)[ids]

@@ -6,14 +6,12 @@ from hypothesis.extra.numpy import arrays
 
 from qat8.quant import (
     EmaTracker,
-    QuantParams,
     TrackerStateError,
     activation_scale,
     dequantize,
     dynamic_scale,
     ema_update,
     fake_quantize,
-    fake_quantize_grad,
     max_quant_value,
     quantize,
     weight_scale,
@@ -32,12 +30,6 @@ def test_max_quant_value_rejects_degenerate_widths():
     for bits in (1, 0, -3):
         with pytest.raises(ValueError):
             max_quant_value(bits)
-
-
-def test_quant_params_defaults():
-    p = QuantParams()
-    assert p.bits == 8
-    assert p.max_value == 127
 
 
 def test_quantize_known_values():
@@ -145,11 +137,6 @@ def test_fake_quantize_on_grid():
     x = np.array([0.1, -0.37, 0.92], dtype=np.float32)
     fq = fake_quantize(x, np.float32(127.0), 127)
     np.testing.assert_array_equal(fq * 127.0, np.round(fq * 127.0))
-
-
-def test_fake_quantize_grad_is_identity():
-    up = np.random.default_rng(4).normal(size=(3, 5)).astype(np.float32)
-    assert fake_quantize_grad(up) is up
 
 
 # ---------------------------------------------------------------------------

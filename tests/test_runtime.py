@@ -29,6 +29,13 @@ def _trained_qat_model(epochs=1, seed=0):
     return model, ids, labels
 
 
+@pytest.fixture(scope="module")
+def four_kinds():
+    qat, _, _ = _trained_qat_model()
+    fp32 = TransformerEncoderModel(TINY, quant_enabled=False, seed=0)
+    return {"fp32": fp32, "qat": qat, "frozen": export(qat), "dq": dq_quantize(fp32)}
+
+
 # ---------------------------------------------------------------------------
 # single-layer integer pipeline
 # ---------------------------------------------------------------------------
@@ -155,6 +162,32 @@ def test_frozen_weights_are_int8():
     assert frozen.layers["pos_emb"].table_q.dtype == np.int8
 
 
+def test_export_rejects_a_bias_that_could_wrap_int32():
+    # a tiny frozen input range and a bias of 1.0 put bias_q past 2**31 - 1;
+    # clipped there, `acc += bias_q` would wrap and flip the logits' sign
+    model, _, _ = _trained_qat_model()
+    model.classifier.input_tracker.running_max = 1e-4
+    model.classifier.bias.value[:] = 1.0
+    with pytest.raises(ExportError, match="classifier"):
+        export(model)
+
+
+@pytest.mark.parametrize("name", ["blocks.0.attn.q_proj", "blocks.0.fc_expand",
+                                  "blocks.0.fc_reduce", "classifier"])
+@pytest.mark.parametrize("index", [0, -1])
+def test_int32_accumulator_bound_is_exact(four_kinds, name, index):
+    frozen = export(four_kinds["qat"])
+    assert frozen.overflowing_layers() == []
+    layer = frozen.layers[name]
+    headroom = INT32_MAX - layer.weight_q.shape[1] * 127 ** 2
+    for peak, flagged in ((headroom, []), (headroom + 1, [name])):
+        for sign in (1, -1):
+            layer.bias_q[index] = sign * peak
+            assert frozen.overflowing_layers() == flagged
+    layer.bias_q[index] = -INT32_MAX - 1
+    assert frozen.overflowing_layers() == [name]
+
+
 def test_export_is_deterministic():
     model, ids, _ = _trained_qat_model()
     a = export(model)
@@ -196,6 +229,20 @@ def test_integer_models_hold_every_named_layer():
     names = [name for name, _ in model.named_modules()]
     for integer in (export(model), dq_quantize(model)):
         assert [name for name, _ in integer.named_modules()] == names
+
+
+@pytest.mark.parametrize("ids,error", [
+    (np.array([[1.0, 2.0]]), TypeError),
+    (np.array([[True, False]]), TypeError),
+    (np.array([1, 2]), ShapeError),
+    (np.zeros((1, 5), dtype=np.int64), ShapeError),
+    (np.array([[1, 8]]), IndexError),
+    (np.array([[-1, 2]]), IndexError),
+], ids=["float", "bool", "1-d", "too-long", "past-vocab", "negative"])
+@pytest.mark.parametrize("kind", ["fp32", "qat", "frozen", "dq"])
+def test_every_kind_rejects_bad_ids_alike(four_kinds, kind, ids, error):
+    with pytest.raises(error):
+        four_kinds[kind].predict_logits(ids)
 
 
 def test_dq_accepts_qat_trained_weights_too():
