@@ -20,7 +20,7 @@ from .format import (
 )
 from .model import TransformerEncoderModel
 from .quant import TrackerStateError
-from .runtime import ExportError, dq_quantize, export
+from .runtime import DynamicQuantModel, ExportError, QuantizedModelFrozen, dq_quantize, export
 from .task import percent_accuracy, run_comparison
 from .training import TrainingDivergedError, train
 
@@ -64,7 +64,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_quantize(args) -> int:
     model = load_artifact(args.model)
-    if not isinstance(model, TransformerEncoderModel):
+    # the integer models are TransformerEncoderModels too
+    if isinstance(model, (QuantizedModelFrozen, DynamicQuantModel)):
         raise ValueError(f"{args.model} is already an inference artifact; "
                          f"quantize expects a training checkpoint")
     if args.method == "export":

@@ -36,6 +36,11 @@ class RunConfig:
     num_eval: int = 1024
     eval_batch: int = 256
 
+    def __post_init__(self):
+        for field in ("num_train", "num_eval", "eval_batch"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             vocab_size=self.vocab_size, max_seq_len=self.seq_len,

@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 import struct
+from functools import partial
 
 import numpy as np
 
-from .layers import Parameter
+from .layers import LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
-from .quant import EmaTracker
+from .quant import EmaTracker, max_quant_value
 from .runtime import (
     DynamicQuantLinear,
     DynamicQuantModel,
@@ -64,8 +65,13 @@ SCHEMA = {
                    LINEAR: (_INT8_WEIGHT, ("bias", "f32", 1, None))},
 }
 
-# the integer model and its layer class per layer kind
-_INTEGER_MODELS = {
+# per artifact kind, what builds the model from its layers, and the layer
+# class per layer kind
+_TRAINING_LAYERS = {EMBEDDING: QuantizedEmbedding, NORM: LayerNorm, LINEAR: QuantizedLinear}
+_CLASSES = {
+    KIND_FP32: (TransformerEncoderModel.from_layers, _TRAINING_LAYERS),
+    KIND_QAT: (partial(TransformerEncoderModel.from_layers, quant_enabled=True),
+               _TRAINING_LAYERS),
     KIND_FROZEN: (QuantizedModelFrozen, {EMBEDDING: QuantizedEmbeddingFrozen,
                                          NORM: LayerNormFrozen, LINEAR: QuantizedLinearFrozen}),
     KIND_DYNAMIC: (DynamicQuantModel, {EMBEDDING: QuantizedEmbeddingFrozen,
@@ -85,18 +91,27 @@ def _is_count(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _is_f32(v) -> bool:
+    """A JSON number (not a bool) that is finite in float32."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _F32_MAX
+
+
 def _is_scale(v) -> bool:
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and math.isfinite(v) and v > 0)
+    # float32 rounds 2**-150 and below to zero
+    return _is_f32(v) and v > 2.0 ** -150
 
 
 def artifact_kind(model) -> str:
-    if isinstance(model, TransformerEncoderModel):
-        return KIND_QAT if model.quant_enabled else KIND_FP32
+    # the integer models are TransformerEncoderModels too: test them first
     if isinstance(model, QuantizedModelFrozen):
         return KIND_FROZEN
     if isinstance(model, DynamicQuantModel):
         return KIND_DYNAMIC
+    if isinstance(model, TransformerEncoderModel):
+        return KIND_QAT if model.quant_enabled else KIND_FP32
     raise TypeError(f"cannot serialize object of type {type(model).__name__}")
 
 
@@ -176,7 +191,8 @@ def _parse_container(data: bytes):
         )
     try:
         header = json.loads(data[9 : 9 + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # a bad encoding, bad JSON, an integer too long to read, deep nesting
         raise FormatError(f"unreadable header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError(f"header is a JSON {type(header).__name__}, not an object")
@@ -220,21 +236,6 @@ def _validate_directory(directory, payload_len: int):
         )
 
 
-def _read_tensors(header, payload) -> dict[str, tuple[np.ndarray, float | None]]:
-    out = {}
-    for entry in header["tensors"]:
-        raw = payload[entry["offset"] : entry["offset"] + _nbytes(entry)]
-        array = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
-        if entry["dtype"] == "f32" and not np.isfinite(array).all():
-            raise FormatError(f"tensor {entry['name']} contains non-finite values")
-        # the Int8 grid is symmetric: quantization never produces -128
-        if entry["dtype"] == "i8" and array.size and array.min() == -128:
-            raise FormatError(f"tensor {entry['name']} contains -128, off the "
-                              "symmetric Int8 grid")
-        out[entry["name"]] = (array, entry.get("scale"))
-    return out
-
-
 def _config_from_header(header) -> ModelConfig:
     fields = header.get("config")
     if not isinstance(fields, dict) or not all(
@@ -246,64 +247,73 @@ def _config_from_header(header) -> ModelConfig:
         raise FormatError(f"invalid model config in header: {exc}") from exc
 
 
-def _check_tensors(tensors, kind, config):
-    """The tensors must be exactly those the schema and the config imply."""
-    expected = {}
-    for name, layer_kind, shape in layer_tree(config):
-        for suffix, dtype, rank, scale_field in SCHEMA[kind][layer_kind]:
-            expected[f"{name}.{suffix}"] = (dtype, shape[:rank], scale_field)
-    if tensors.keys() != expected.keys():
-        missing, extra = expected.keys() - tensors.keys(), tensors.keys() - expected.keys()
-        raise FormatError(f"tensor set mismatch: missing {sorted(missing)}, "
-                          f"unexpected {sorted(extra)}")
-    for name, (dtype, shape, scale_field) in expected.items():
-        array, scale = tensors[name]
-        if array.dtype != _DTYPES[dtype]:
-            raise FormatError(f"tensor {name}: dtype {array.dtype} is not {dtype}")
-        if array.shape != shape:
-            raise FormatError(f"tensor {name}: shape {array.shape} does not match "
-                              f"config shape {shape}")
-        if scale_field and scale is None:
-            raise FormatError(f"tensor {name} has no scale")
+def _read_tensor(entry, payload) -> np.ndarray:
+    raw = payload[entry["offset"] : entry["offset"] + _nbytes(entry)]
+    array = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
+    if entry["dtype"] == "f32" and not np.isfinite(array).all():
+        raise FormatError(f"tensor {entry['name']} contains non-finite values")
+    # the Int8 grid is symmetric: quantization never produces -128
+    if entry["dtype"] == "i8" and array.size and array.min() == -128:
+        raise FormatError(f"tensor {entry['name']} contains -128, off the "
+                          "symmetric Int8 grid")
+    return array
 
 
-def _restore_training_model(header, tensors, config, kind) -> TransformerEncoderModel:
-    model = TransformerEncoderModel(config, quant_enabled=(kind == KIND_QAT), seed=0)
-    for name, param in model.parameters().items():
-        param.value = tensors[name][0]
-        param.grad = np.zeros_like(param.value)
-    if kind == KIND_QAT:
-        trackers = header.get("trackers")
-        for name, layer in model.named_qlinears():
-            try:
-                state = trackers[name]
-                layer.input_tracker = EmaTracker(
-                    decay=float(state["decay"]),
-                    running_max=float(np.float32(state["running_max"])),
-                    initialized=bool(state["initialized"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise FormatError(f"artifact has no valid tracker state for {name!r}: "
-                                  f"{exc!r}") from exc
-    return model
-
-
-def _restore_integer_model(header, tensors, config, kind):
-    model_cls, layer_classes = _INTEGER_MODELS[kind]
+def _input_scale(header, name) -> np.float32:
     input_scales = header.get("input_scales")
+    if not isinstance(input_scales, dict) or not _is_scale(input_scales.get(name)):
+        raise FormatError(f"artifact has no valid input scale for {name!r}")
+    return np.float32(input_scales[name])
+
+
+def _tracker(header, name) -> EmaTracker:
+    trackers = header.get("trackers")
+    state = trackers.get(name) if isinstance(trackers, dict) else None
+    try:
+        if not (isinstance(state["initialized"], bool) and _is_f32(state["decay"])
+                and _is_f32(state["running_max"])):
+            raise TypeError("initialized must be a bool, decay and running_max numbers")
+        return EmaTracker(decay=float(state["decay"]),
+                          running_max=float(np.float32(state["running_max"])),
+                          initialized=state["initialized"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"artifact has no valid tracker state for {name!r}: "
+                          f"{exc!r}") from exc
+
+
+def _restore(header, payload, config, kind):
+    """Build each layer from its tensors and header state, then the model
+    from its layers. The directory must list exactly the tensors that the
+    schema and the config imply, with their dtypes and shapes."""
+    entries = {entry["name"]: entry for entry in header["tensors"]}
+    model_cls, layer_classes = _CLASSES[kind]
+    m = None if kind == KIND_FP32 else max_quant_value(config.bits)
+    # what a layer takes besides its tensors, by layer kind
+    extra = ({EMBEDDING: {"m": m}, NORM: {}, LINEAR: {"m": m, "ema_decay": config.ema_decay}}
+             if kind in (KIND_FP32, KIND_QAT) else {EMBEDDING: {}, NORM: {}, LINEAR: {"m": m}})
     layers = {}
-    for name, layer_kind, _ in layer_tree(config):
-        fields = {}
-        for suffix, _, _, scale_field in SCHEMA[kind][layer_kind]:
-            array, scale = tensors[f"{name}.{suffix}"]
-            fields[suffix] = array
+    for name, layer_kind, shape in layer_tree(config):
+        fields = dict(extra[layer_kind])
+        for suffix, dtype, rank, scale_field in SCHEMA[kind][layer_kind]:
+            tensor, implied = f"{name}.{suffix}", list(shape[:rank])
+            entry = entries.pop(tensor, None)
+            if entry is None:
+                raise FormatError(f"tensor set mismatch: missing {tensor}")
+            if entry["dtype"] != dtype or entry["shape"] != implied:
+                raise FormatError(f"tensor {tensor}: dtype {entry['dtype']} and shape "
+                                  f"{entry['shape']} are not {dtype} and config shape {implied}")
+            fields[suffix] = _read_tensor(entry, payload)
             if scale_field:
-                fields[scale_field] = np.float32(scale)
+                if "scale" not in entry:
+                    raise FormatError(f"tensor {tensor} has no scale")
+                fields[scale_field] = np.float32(entry["scale"])
         if layer_kind == LINEAR and kind == KIND_FROZEN:
-            if not isinstance(input_scales, dict) or not _is_scale(input_scales.get(name)):
-                raise FormatError(f"artifact has no valid input scale for {name!r}")
-            fields["input_scale"] = np.float32(input_scales[name])
-        layers[name] = layer_classes[layer_kind](**fields)
+            fields["input_scale"] = _input_scale(header, name)
+        layers[name] = layer = layer_classes[layer_kind](**fields)
+        if layer_kind == LINEAR and kind == KIND_QAT:
+            layer.input_tracker = _tracker(header, name)
+    if entries:
+        raise FormatError(f"tensor set mismatch: unexpected {sorted(entries)}")
     model = model_cls(config, layers)
     wrapping = model.overflowing_layers() if kind == KIND_FROZEN else []
     if wrapping:
@@ -318,12 +328,7 @@ def deserialize(data: bytes):
     kind = header.get("kind")
     if not isinstance(kind, str) or kind not in SCHEMA:
         raise FormatError(f"unknown artifact kind {kind!r}")
-    config = _config_from_header(header)
-    tensors = _read_tensors(header, payload)
-    _check_tensors(tensors, kind, config)
-    if kind in _INTEGER_MODELS:
-        return _restore_integer_model(header, tensors, config, kind)
-    return _restore_training_model(header, tensors, config, kind)
+    return _restore(header, payload, _config_from_header(header), kind)
 
 
 def save_artifact(model, path) -> bytes:

@@ -6,6 +6,9 @@ the symmetric grid [-m, m] during the forward pass and back-propagate
 through the rounding with the straight-through estimator; with ``m=None``
 they are plain FP32. Softmax, layer norm and GELU are plain FP32
 and have no quantized variants.
+
+A leaf layer takes its tensors and reads its sizes from their shapes; the
+attention and encoder-block containers take their leaves.
 """
 
 from __future__ import annotations
@@ -136,6 +139,14 @@ def embedding_ids(ids, num_entries: int) -> np.ndarray:
     return ids
 
 
+def linear_rows(x, n_in: int):
+    """x as FP32 rows of n_in features, and the leading shape it had."""
+    x = np.asarray(x, dtype=np.float32)
+    if x.shape[-1] != n_in:
+        raise ShapeError(f"expected last dim {n_in}, got {x.shape}")
+    return x.reshape(-1, n_in), x.shape[:-1]
+
+
 class QuantizedLinear:
     """FC layer that fake-quantizes its input and weight onto [-m, m].
 
@@ -145,19 +156,10 @@ class QuantizedLinear:
     is a plain FP32 linear layer.
     """
 
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        *,
-        rng: np.random.Generator,
-        m: int | None = None,
-        ema_decay: float = 0.9,
-    ):
-        self.in_features = in_features
-        self.out_features = out_features
-        self.weight = Parameter(rng.normal(0.0, 0.02, size=(out_features, in_features)))
-        self.bias = Parameter(np.zeros(out_features))
+    def __init__(self, weight, bias, *, m: int | None = None, ema_decay: float = 0.9):
+        self.weight = Parameter(weight)
+        self.bias = Parameter(bias)
+        self.out_features, self.in_features = self.weight.value.shape
         self.m = m
         self.input_tracker = EmaTracker(decay=ema_decay)
         self._cache = None
@@ -166,12 +168,7 @@ class QuantizedLinear:
         return [("weight", self.weight), ("bias", self.bias)]
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float32)
-        if x.shape[-1] != self.in_features:
-            raise ShapeError(f"expected last dim {self.in_features}, got {x.shape}")
-        lead = x.shape[:-1]
-        x2 = x.reshape(-1, self.in_features)
-
+        x2, lead = linear_rows(x, self.in_features)
         m = self.m
         if m is not None:
             if training:
@@ -222,17 +219,9 @@ class QuantizedEmbedding:
     no activation tracker because the rows are weights, not activations.
     """
 
-    def __init__(
-        self,
-        num_entries: int,
-        dim: int,
-        *,
-        rng: np.random.Generator,
-        m: int | None = None,
-    ):
-        self.num_entries = num_entries
-        self.dim = dim
-        self.table = Parameter(rng.normal(0.0, 0.02, size=(num_entries, dim)))
+    def __init__(self, table, *, m: int | None = None):
+        self.table = Parameter(table)
+        self.num_entries, self.dim = self.table.value.shape
         self.m = m
         self._cache = None
 
@@ -262,10 +251,9 @@ class QuantizedEmbedding:
 
 
 class LayerNorm:
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.gain = Parameter(np.ones(dim))
-        self.bias = Parameter(np.zeros(dim))
+    def __init__(self, gain, bias):
+        self.gain = Parameter(gain)
+        self.bias = Parameter(bias)
         self._cache = None
 
     def named_params(self):
@@ -327,18 +315,15 @@ class _Container:
 
 
 class MultiHeadAttention(_Container):
-    """Self-attention with quantization-capable q/k/v/output projections."""
+    """Self-attention over q/k/v/output projections: any linear layers, such
+    as quantization-capable ones or the Int8 ones of an integer model."""
 
-    def __init__(self, dim, num_heads, *, rng, m=None, ema_decay=0.9):
-        if dim % num_heads != 0:
-            raise ShapeError(f"dim {dim} not divisible by {num_heads} heads")
-        self.dim = dim
+    def __init__(self, num_heads, q_proj, k_proj, v_proj, out_proj):
         self.num_heads = num_heads
-        kw = dict(rng=rng, m=m, ema_decay=ema_decay)
-        self.q_proj = QuantizedLinear(dim, dim, **kw)
-        self.k_proj = QuantizedLinear(dim, dim, **kw)
-        self.v_proj = QuantizedLinear(dim, dim, **kw)
-        self.out_proj = QuantizedLinear(dim, dim, **kw)
+        self.q_proj = q_proj
+        self.k_proj = k_proj
+        self.v_proj = v_proj
+        self.out_proj = out_proj
         self._cache = None
 
     def forward(self, x, training: bool = False) -> np.ndarray:
@@ -348,6 +333,8 @@ class MultiHeadAttention(_Container):
         ctx, probs = attention_mix(q, k, v, self.num_heads)
         if training:
             self._cache = (q, k, v, probs)
+        # in eval nothing keeps them: free them before the next FC runs
+        del q, k, v, probs
         return self.out_proj.forward(ctx, training)
 
     def backward(self, upstream) -> np.ndarray:
@@ -371,22 +358,22 @@ class MultiHeadAttention(_Container):
 class EncoderBlock(_Container):
     """Post-norm transformer encoder block: attention and GELU feed-forward."""
 
-    def __init__(self, dim, num_heads, ffn_dim, *, rng, m=None, ema_decay=0.9):
-        kw = dict(rng=rng, m=m, ema_decay=ema_decay)
-        self.attn = MultiHeadAttention(dim, num_heads, **kw)
-        self.norm_attn = LayerNorm(dim)
-        self.fc_expand = QuantizedLinear(dim, ffn_dim, **kw)
-        self.fc_reduce = QuantizedLinear(ffn_dim, dim, **kw)
-        self.norm_ffn = LayerNorm(dim)
+    def __init__(self, attn, norm_attn, fc_expand, fc_reduce, norm_ffn):
+        self.attn = attn
+        self.norm_attn = norm_attn
+        self.fc_expand = fc_expand
+        self.fc_reduce = fc_reduce
+        self.norm_ffn = norm_ffn
         self._ffn_pre = None
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         h = self.norm_attn.forward(x + self.attn.forward(x, training), training)
         pre = self.fc_expand.forward(h, training)
-        f = self.fc_reduce.forward(gelu_forward(pre), training)
+        act = gelu_forward(pre)
         if training:
             self._ffn_pre = pre
-        return self.norm_ffn.forward(h + f, training)
+        del pre  # free the expand output before the next FC runs
+        return self.norm_ffn.forward(h + self.fc_reduce.forward(act, training), training)
 
     def backward(self, upstream) -> np.ndarray:
         if self._ffn_pre is None:

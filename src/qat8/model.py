@@ -1,8 +1,10 @@
-"""Small transformer encoder classifier built from quantization-capable layers.
+"""Small transformer encoder classifier: one tree of named layers and one
+forward pass for every kind of model.
 
-Every FC and embedding layer can fake-quantize; softmax, layer norm and
-GELU run in FP32 only. With quantization disabled the model is an ordinary
-FP32 transformer, bit for bit.
+In a training model every FC and embedding layer can fake-quantize;
+softmax, layer norm and GELU run in FP32 only. With quantization disabled
+the model is an ordinary FP32 transformer, bit for bit. The integer models
+of :mod:`qat8.runtime` put Int8 layers in the same tree.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import EncoderBlock, LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
+from .layers import (EncoderBlock, LayerNorm, MultiHeadAttention, Parameter, QuantizedEmbedding,
+                     QuantizedLinear)
 from .quant import max_quant_value
 from .tensor import ShapeError
 
@@ -72,47 +75,63 @@ def layer_tree(config: ModelConfig):
     yield "classifier", LINEAR, (config.num_classes, d)
 
 
-def ids_and_positions(ids, config: ModelConfig):
-    """Check that ids are (batch, seq) with seq <= max_seq_len; return the
-    ids as an array and their position ids."""
-    ids = np.asarray(ids)
-    if ids.ndim != 2:
-        raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
-    batch, seq = ids.shape
-    if seq > config.max_seq_len:
-        raise ShapeError(f"sequence length {seq} exceeds {config.max_seq_len}")
-    return ids, np.broadcast_to(np.arange(seq), (batch, seq))
+def _new_leaf(kind, shape, rng, m, ema_decay):
+    """A leaf of a new model: N(0, 0.02) tables and weights, zero biases,
+    unit gains."""
+    if kind == NORM:
+        return LayerNorm(np.ones(shape), np.zeros(shape))
+    w = rng.normal(0.0, 0.02, size=shape)
+    if kind == EMBEDDING:
+        return QuantizedEmbedding(w, m=m)
+    return QuantizedLinear(w, np.zeros(shape[0]), m=m, ema_decay=ema_decay)
 
 
 class TransformerEncoderModel:
-    """Token + position embeddings, encoder blocks, first-token classifier."""
+    """Token + position embeddings, encoder blocks, first-token classifier.
+
+    The tree runs the same way on any leaves: the training layers of
+    :mod:`qat8.layers`, or the integer layers of :mod:`qat8.runtime`.
+    """
 
     def __init__(self, config: ModelConfig, *, quant_enabled: bool = False, seed: int = 0):
-        self.config = config
-        self.quant_enabled = quant_enabled
         rng = np.random.default_rng(seed)
         # one symmetric grid for every quantized layer, or none for FP32
         m = max_quant_value(config.bits) if quant_enabled else None
-        kw = dict(rng=rng, m=m, ema_decay=config.ema_decay)
-        self.token_emb = QuantizedEmbedding(config.vocab_size, config.dim, rng=rng, m=m)
-        self.pos_emb = QuantizedEmbedding(config.max_seq_len, config.dim, rng=rng, m=m)
-        self.emb_norm = LayerNorm(config.dim)
-        self.blocks = [
-            EncoderBlock(config.dim, config.num_heads, config.ffn_dim, **kw)
-            for _ in range(config.num_layers)
-        ]
-        self.classifier = QuantizedLinear(config.dim, config.num_classes, **kw)
+        self._build(config, quant_enabled, {
+            name: _new_leaf(kind, shape, rng, m, config.ema_decay)
+            for name, kind, shape in layer_tree(config)})
+
+    @classmethod
+    def from_layers(cls, config: ModelConfig, layers: dict, *, quant_enabled: bool = False):
+        """The model on leaves already built, keyed by :func:`layer_tree` name."""
+        model = cls.__new__(cls)
+        model._build(config, quant_enabled, layers)
+        return model
+
+    def _build(self, config, quant_enabled, layers):
+        self.config = config
+        self.quant_enabled = quant_enabled
+        # the leaves in layer_tree order, held by the tree below as well: its
+        # walkers read them here rather than resolve each name's path
+        self._leaves = {name: layers[name] for name, _, _ in layer_tree(config)}
+        self.token_emb = layers["token_emb"]
+        self.pos_emb = layers["pos_emb"]
+        self.emb_norm = layers["emb_norm"]
+        self.blocks = []
+        for i in range(config.num_layers):
+            leaves = [layers[f"blocks.{i}.{part}"] for part in (
+                "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.out_proj",
+                "norm_attn", "fc_expand", "fc_reduce", "norm_ffn")]
+            attn = MultiHeadAttention(config.num_heads, *leaves[:4])
+            self.blocks.append(EncoderBlock(attn, *leaves[4:]))
+        self.classifier = layers["classifier"]
         self._batch_shape = None
 
     # -- structure walkers ---------------------------------------------------
 
     def named_modules(self):
-        """The leaf layers of :func:`layer_tree`, resolved as attribute paths."""
-        for name, _, _ in layer_tree(self.config):
-            module = self
-            for part in name.split("."):
-                module = module[int(part)] if part.isdigit() else getattr(module, part)
-            yield name, module
+        """The leaf layers of :func:`layer_tree` by name, in forward order."""
+        return self._leaves.items()
 
     def parameters(self) -> dict[str, Parameter]:
         out = {}
@@ -132,7 +151,13 @@ class TransformerEncoderModel:
     # -- forward / backward ---------------------------------------------------
 
     def forward(self, ids, training: bool = False) -> np.ndarray:
-        ids, pos_ids = ids_and_positions(ids, self.config)
+        ids = np.asarray(ids)
+        if ids.ndim != 2:
+            raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
+        batch, seq = ids.shape
+        if seq > self.config.max_seq_len:
+            raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
+        pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
         x = self.token_emb.forward(ids, training) + self.pos_emb.forward(pos_ids, training)
         x = self.emb_norm.forward(x, training)
         for block in self.blocks:

@@ -2,10 +2,11 @@
 
 Export freezes the training-time statistics: weight scales come from the
 final FP32 weights, activation scales from the EMA trackers, and biases are
-quantized to Int32 with the product of the two. Inference then runs every
-FC as an Int8 GEMM accumulated into the Int32 bias; the accumulator is
-dequantized to FP32 right after each FC because the surrounding ops
-(softmax, layer norm, GELU, residual adds) stay FP32.
+quantized to Int32 with the product of the two. The integer models are
+the encoder of :mod:`qat8.model` on integer leaves, run by its forward pass:
+every FC is an Int8 GEMM accumulated into the Int32 bias, and the
+accumulator is dequantized to FP32 right after each FC because the
+surrounding ops (softmax, layer norm, GELU, residual adds) stay FP32.
 
 The dynamic-quantization path reuses the same integer kernels but computes
 each activation scale from the incoming tensor itself and keeps biases in
@@ -18,11 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import attention_mix, embedding_ids, gelu_forward, layer_norm_forward
-from .model import (EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel,
-                    ids_and_positions, layer_tree)
+# attention_mix and gelu_forward run in the shared forward of qat8.model; they
+# stay importable from here, where perfbench/spans.py looks up the FP32 ops
+from .layers import (attention_mix, embedding_ids, gelu_forward,  # noqa: F401
+                     layer_norm_forward, linear_rows)
+from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import activation_scale, dynamic_scale, max_quant_value, quantize, weight_scale
-from .tensor import ShapeError, gemm_i8_i32
+from .tensor import gemm_i8_i32
 
 INT32_MAX = (1 << 31) - 1
 
@@ -39,10 +42,14 @@ class QuantizedLinearFrozen:
     weight_scale: np.float32
     input_scale: np.float32
     bias_q: np.ndarray     # int32, [out]
+    m: int = 127           # the grid is [-m, m]
 
     @property
     def bias_scale(self) -> np.float32:
         return np.float32(self.input_scale) * np.float32(self.weight_scale)
+
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        return int8_linear_infer(self, x)
 
 
 @dataclass
@@ -52,6 +59,10 @@ class DynamicQuantLinear:
     weight_q: np.ndarray   # int8, [out, in]
     weight_scale: np.float32
     bias: np.ndarray       # float32, [out]
+    m: int = 127           # the grid is [-m, m]
+
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        return dynamic_linear_infer(self, x)
 
 
 @dataclass
@@ -65,6 +76,9 @@ class QuantizedEmbeddingFrozen:
         ids = embedding_ids(ids, self.table_q.shape[0])
         return self.table_q[ids].astype(np.float32) / np.float32(self.scale)
 
+    def forward(self, ids, training: bool = False) -> np.ndarray:
+        return self.lookup(ids)
+
 
 @dataclass
 class LayerNormFrozen:
@@ -73,31 +87,26 @@ class LayerNormFrozen:
     gain: np.ndarray       # float32, [dim]
     bias: np.ndarray       # float32, [dim]
 
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        return layer_norm_forward(x, self.gain, self.bias)[0]
 
-def int8_linear_infer(layer: QuantizedLinearFrozen, x, m: int = 127) -> np.ndarray:
+
+def int8_linear_infer(layer: QuantizedLinearFrozen, x) -> np.ndarray:
     """Quantize the input with the frozen scale, run Int8 GEMM into the
     Int32 bias, then dequantize the accumulator by input_scale * weight_scale."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape[-1] != layer.weight_q.shape[1]:
-        raise ShapeError(f"expected last dim {layer.weight_q.shape[1]}, got {x.shape}")
-    lead = x.shape[:-1]
-    x_q = quantize(x.reshape(-1, x.shape[-1]), layer.input_scale, m)
-    acc = gemm_i8_i32(x_q, layer.weight_q.T)
+    x2, lead = linear_rows(x, layer.weight_q.shape[1])
+    acc = gemm_i8_i32(quantize(x2, layer.input_scale, layer.m), layer.weight_q.T)
     acc += layer.bias_q
     y = acc.astype(np.float32)
     y /= layer.bias_scale
     return y.reshape(lead + (layer.weight_q.shape[0],))
 
 
-def dynamic_linear_infer(layer: DynamicQuantLinear, x, m: int = 127) -> np.ndarray:
+def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
     """Int8 GEMM with the activation scale taken from the incoming tensor."""
-    x = np.asarray(x, dtype=np.float32)
-    if x.shape[-1] != layer.weight_q.shape[1]:
-        raise ShapeError(f"expected last dim {layer.weight_q.shape[1]}, got {x.shape}")
-    lead = x.shape[:-1]
-    x2 = x.reshape(-1, x.shape[-1])
-    s_x = dynamic_scale(x2, m)
-    y = gemm_i8_i32(quantize(x2, s_x, m), layer.weight_q.T).astype(np.float32)
+    x2, lead = linear_rows(x, layer.weight_q.shape[1])
+    s_x = dynamic_scale(x2, layer.m)
+    y = gemm_i8_i32(quantize(x2, s_x, layer.m), layer.weight_q.T).astype(np.float32)
     y /= np.float32(s_x) * np.float32(layer.weight_scale)
     y += layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))
@@ -108,56 +117,21 @@ def _peak(q) -> int:
     return int(np.abs(q, dtype=np.int64).max())
 
 
-class _IntegerEncoder:
-    """Forward pass shared by the frozen and dynamic integer models.
-
-    ``layers`` maps each name of :func:`~qat8.model.layer_tree` to its
-    inference layer, in that order. Immutable after construction; scales are
-    never updated at inference.
-    """
+class _IntegerEncoder(TransformerEncoderModel):
+    """The encoder on integer leaves, for inference only: its scales are
+    fixed, and it keeps nothing for a backward pass."""
 
     def __init__(self, config: ModelConfig, layers: dict):
-        self.config = config
-        self.layers = layers
-        self.m = max_quant_value(config.bits)
-        # group the layers once, here, so forward does no name lookups: the
-        # encoder blocks' layers by block, the rest in forward order
-        outer, self._blocks = [], [[] for _ in range(config.num_layers)]
-        for name, layer in layers.items():
-            if name.startswith("blocks."):
-                self._blocks[int(name.split(".")[1])].append(layer)
-            else:
-                outer.append(layer)
-        self._token_emb, self._pos_emb, self._emb_norm, self._classifier = outer
+        self._build(config, True, layers)
 
-    def named_modules(self):
-        return self.layers.items()
-
-    def _linear(self, layer, x):
-        raise NotImplementedError
-
-    def forward(self, ids) -> np.ndarray:
-        ids, pos_ids = ids_and_positions(ids, self.config)
-        x = self._token_emb.lookup(ids) + self._pos_emb.lookup(pos_ids)
-        x, _ = layer_norm_forward(x, self._emb_norm.gain, self._emb_norm.bias)
-        for q, k, v, out, norm_attn, fc_expand, fc_reduce, norm_ffn in self._blocks:
-            ctx, _ = attention_mix(self._linear(q, x), self._linear(k, x),
-                                   self._linear(v, x), self.config.num_heads)
-            h, _ = layer_norm_forward(x + self._linear(out, ctx),
-                                      norm_attn.gain, norm_attn.bias)
-            f = self._linear(fc_reduce, gelu_forward(self._linear(fc_expand, h)))
-            x, _ = layer_norm_forward(h + f, norm_ffn.gain, norm_ffn.bias)
-        return self._linear(self._classifier, x[:, 0, :])
-
-    def predict_logits(self, ids) -> np.ndarray:
-        return self.forward(ids)
+    def forward(self, ids, training: bool = False) -> np.ndarray:
+        if training:
+            raise RuntimeError("integer models run inference only")
+        return super().forward(ids)
 
 
 class QuantizedModelFrozen(_IntegerEncoder):
     """Exported model: Int8 weights, Int32 biases, frozen scales."""
-
-    def _linear(self, layer, x):
-        return int8_linear_infer(layer, x, self.m)
 
     def overflowing_layers(self) -> list[str]:
         """The FC layers whose Int32 accumulator can wrap on some input.
@@ -166,9 +140,9 @@ class QuantizedModelFrozen(_IntegerEncoder):
         for inner dimension K, and ``acc = x_q . w_q + bias_q`` fits in Int32
         for every input exactly when max|bias_q| + K m**2 <= 2**31 - 1.
         """
-        fcs = {name: layer for name, layer in self.layers.items()
+        fcs = {name: layer for name, layer in self.named_modules()
                if isinstance(layer, QuantizedLinearFrozen)}
-        headroom = {name: INT32_MAX - layer.weight_q.shape[1] * self.m ** 2
+        headroom = {name: INT32_MAX - layer.weight_q.shape[1] * layer.m ** 2
                     for name, layer in fcs.items()}
         # one pass over all the biases against the tightest headroom settles
         # the usual case at a fraction of the cost of one pass per layer
@@ -181,9 +155,6 @@ class QuantizedModelFrozen(_IntegerEncoder):
 class DynamicQuantModel(_IntegerEncoder):
     """Post-training model: Int8 weights, FP32 biases, per-tensor dynamic scales."""
 
-    def _linear(self, layer, x):
-        return dynamic_linear_infer(layer, x, self.m)
-
 
 def _freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
     w = layer.weight.value
@@ -195,6 +166,7 @@ def _freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
         weight_scale=s_w,
         input_scale=s_x,
         bias_q=quantize(layer.bias.value, bias_scale, INT32_MAX).astype(np.int32),
+        m=m,
     )
 
 
@@ -210,6 +182,7 @@ def _dynamic_linear(layer, m: int) -> DynamicQuantLinear:
         weight_q=quantize(w, s_w, m),
         weight_scale=s_w,
         bias=layer.bias.value.copy(),
+        m=m,
     )
 
 

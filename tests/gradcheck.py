@@ -4,9 +4,14 @@ Strategy: project the layer output onto a fixed random direction to get a
 scalar loss, backprop that projection analytically, then compare against
 central differences on a random sample of coordinates. Comparison is the
 relative L2 error over the sampled coordinate vector.
+
+The layer builders at the end make the layers these checks run on.
 """
 
 import numpy as np
+
+from qat8.layers import (EncoderBlock, LayerNorm, MultiHeadAttention, QuantizedEmbedding,
+                         QuantizedLinear)
 
 
 def projection_loss(forward_fn, proj) -> float:
@@ -78,3 +83,28 @@ def check_input_grad(forward_fn, backward_fn, x, rng, *,
     num = numeric_grads(lambda: forward_fn(training=False), proj, x, picked, h)
     ana = np.array([grad_x[idx] for idx in picked])
     return relative_l2(num, ana)
+
+
+# Layers drawn as a new model draws them: N(0, 0.02) weights and tables,
+# zero biases, unit gains, in construction order.
+
+
+def linear(rng, n_in, n_out, m=None):
+    return QuantizedLinear(rng.normal(0.0, 0.02, size=(n_out, n_in)), np.zeros(n_out), m=m)
+
+
+def embedding(rng, entries, dim, m=None):
+    return QuantizedEmbedding(rng.normal(0.0, 0.02, size=(entries, dim)), m=m)
+
+
+def layer_norm(dim):
+    return LayerNorm(np.ones(dim), np.zeros(dim))
+
+
+def attention(rng, dim, heads):
+    return MultiHeadAttention(heads, *(linear(rng, dim, dim) for _ in range(4)))
+
+
+def encoder_block(rng, dim, heads, ffn):
+    return EncoderBlock(attention(rng, dim, heads), layer_norm(dim), linear(rng, dim, ffn),
+                        linear(rng, ffn, dim), layer_norm(dim))

@@ -10,16 +10,18 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from gradcheck import check_input_grad, check_param_grads, relative_l2
+from gradcheck import (
+    attention,
+    check_input_grad,
+    check_param_grads,
+    embedding,
+    encoder_block,
+    layer_norm,
+    linear,
+    relative_l2,
+)
 from qat8.config import RunConfig
 from qat8.format import serialize
-from qat8.layers import (
-    EncoderBlock,
-    LayerNorm,
-    MultiHeadAttention,
-    QuantizedEmbedding,
-    QuantizedLinear,
-)
 from qat8.model import ModelConfig, TransformerEncoderModel
 from qat8.quant import dequantize, fake_quantize, max_quant_value, quantize, weight_scale
 from qat8.runtime import INT32_MAX, QuantizedLinearFrozen, export, int8_linear_infer
@@ -98,7 +100,7 @@ def test_c3_gradient_checks():
             x = rng.normal(size=(batch, seq, dim)).astype(np.float32)
             x2d = x.reshape(-1, dim)
 
-            fc = QuantizedLinear(dim, 6, rng=rng)
+            fc = linear(rng, dim, 6)
             fc.weight.value = (rng.normal(size=(6, dim)) * 0.4).astype(np.float32)
             overall, _ = check_param_grads(
                 lambda training: fc.forward(x2d, training), fc.backward,
@@ -109,7 +111,7 @@ def test_c3_gradient_checks():
                 lambda training: fc.forward(x2d, training), fc.backward,
                 x2d, rng, out_shape=(batch * seq, 6), coords=4))
 
-            emb = QuantizedEmbedding(7, dim, rng=rng)
+            emb = embedding(rng, 7, dim)
             ids = rng.integers(0, 7, size=(batch, seq))
             overall, _ = check_param_grads(
                 lambda training: emb.forward(ids, training), emb.backward,
@@ -117,7 +119,7 @@ def test_c3_gradient_checks():
                 coords_per_tensor=4)
             record("embedding", overall)
 
-            ln = LayerNorm(dim)
+            ln = layer_norm(dim)
             ln.gain.value = rng.normal(1.0, 0.2, size=dim).astype(np.float32)
             ln.bias.value = rng.normal(0.0, 0.2, size=dim).astype(np.float32)
             overall, _ = check_param_grads(
@@ -128,7 +130,7 @@ def test_c3_gradient_checks():
                 lambda training: ln.forward(x, training), ln.backward,
                 x, rng, out_shape=x.shape, coords=4))
 
-            attn = MultiHeadAttention(dim, heads, rng=rng)
+            attn = attention(rng, dim, heads)
             for _, p in attn.named_params():
                 p.value = (rng.normal(size=p.value.shape) * 0.4).astype(np.float32)
             overall, _ = check_param_grads(
@@ -139,7 +141,7 @@ def test_c3_gradient_checks():
                 lambda training: attn.forward(x, training), attn.backward,
                 x, rng, out_shape=x.shape, coords=4))
 
-            block = EncoderBlock(dim, heads, ffn, rng=rng)
+            block = encoder_block(rng, dim, heads, ffn)
             for _, p in block.named_params():
                 if p.value.ndim == 2:
                     p.value = (rng.normal(size=p.value.shape) * 0.4).astype(np.float32)

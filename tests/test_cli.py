@@ -122,11 +122,36 @@ def test_exit_code_2_on_bits_above_8(tmp_path, capsys):
     assert not (tmp_path / "x.qat").exists()
 
 
+@pytest.mark.parametrize("command,override", [
+    (["train", "--mode", "fp32"], "num_eval=0"),
+    (["train", "--mode", "fp32"], "num_train=-3"),
+    (["eval", "--model", "none.qat"], "eval_batch=0"),
+    (["compare"], "num_eval=0"),
+])
+def test_exit_code_2_on_non_positive_run_size(tmp_path, capsys, command, override):
+    out = ["--out", str(tmp_path / "x.qat")] if command[0] == "train" else []
+    rc = main([*command, *out, *FAST, "--set", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert override.split("=")[0] in err and "Traceback" not in err
+    assert not (tmp_path / "x.qat").exists()
+
+
 def test_exit_code_4_on_damaged_artifact(tmp_path, capsys):
     bad = tmp_path / "bad.qat"
     bad.write_bytes(b"JUNKJUNKJUNKJUNK")
     assert main(["inspect", "--model", str(bad)]) == 4
     capsys.readouterr()
+
+
+def test_exit_code_4_when_eval_loads_a_corrupt_artifact(tmp_path, capsys):
+    model = _train(tmp_path, "fp32", "base.qat")
+    data = model.read_bytes()
+    model.write_bytes(data[:-1])  # one payload byte short
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), *FAST]) == 4
+    err = capsys.readouterr().err
+    assert "payload length" in err and "Traceback" not in err
 
 
 def test_exit_code_4_on_mistyped_header(tmp_path, capsys):

@@ -73,3 +73,12 @@ def test_cross_field_validation_runs():
     # dim not divisible by heads is caught at load time, not at first use
     with pytest.raises(ValueError):
         load_config(overrides=["dim=10", "num_heads=4"])
+
+
+@pytest.mark.parametrize("field", ["num_train", "num_eval", "eval_batch"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_run_sizes_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        load_config(overrides=[f"{field}={value}"])

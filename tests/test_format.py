@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qat8.format import (
     MAGIC,
@@ -100,6 +102,18 @@ def test_save_and_load_files(models, tmp_path):
     loaded = load_artifact(path)
     np.testing.assert_array_equal(loaded.predict_logits(models["probe"]),
                                   models["fp32"].predict_logits(models["probe"]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loading_draws_no_random_numbers(models, kind, monkeypatch):
+    # each layer is built from its tensors, not drawn and then overwritten
+    data = serialize(models[kind])
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("deserialize made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    assert serialize(deserialize(data)) == data
 
 
 def test_qat_artifact_preserves_tracker_state(models):
@@ -308,6 +322,50 @@ def test_rejects_mistyped_header(models, mutate, in_container):
             inspect_header(data)
 
 
+def _set_tracker(key, value):
+    def mutate(header):
+        header["trackers"]["blocks.0.fc_reduce"][key] = value
+        return header
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_set_tracker("initialized", "no"), id="string-initialized"),
+    pytest.param(_set_tracker("initialized", 1), id="int-initialized"),
+    pytest.param(_set_tracker("initialized", None), id="null-initialized"),
+    pytest.param(_set_tracker("running_max", True), id="bool-running-max"),
+    pytest.param(_set_tracker("running_max", "3.5"), id="string-running-max"),
+    pytest.param(_set_tracker("running_max", 10**400), id="huge-running-max"),
+    pytest.param(_set_tracker("decay", "0.9"), id="string-decay"),
+    pytest.param(_set_tracker("decay", False), id="bool-decay"),
+    pytest.param(_set_tracker("decay", [0.9]), id="list-decay"),
+    pytest.param(_set_tracker("decay", 1.5), id="decay-past-1"),
+    pytest.param(_set_header("trackers", [1]), id="list-trackers"),
+    pytest.param(lambda header: {**header, "trackers": {**header["trackers"], "classifier": 7}},
+                 id="int-tracker"),
+])
+def test_rejects_mistyped_tracker_state(models, mutate):
+    header, _, payload = _split(serialize(models["qat"]))
+    with pytest.raises(FormatError, match="tracker"):
+        deserialize(_rebuild(mutate(header), payload))
+
+
+@pytest.mark.parametrize("quant_enabled", [False, True], ids=["fp32", "qat"])
+def test_training_a_loaded_model_continues_exactly(quant_enabled):
+    # loading restores all a model's training state: the weights, m, the
+    # EMA trackers and zeroed gradients
+    rng = np.random.default_rng(1)
+    ids = rng.integers(0, 8, size=(64, 4))
+    labels = (ids[:, 1] >= 4).astype(np.int64)
+    model = TransformerEncoderModel(TINY, quant_enabled=quant_enabled, seed=0)
+    train(model, ids, labels, TrainConfig(epochs=1, batch_size=32, seed=0))
+    resumed = deserialize(serialize(model))
+    more = TrainConfig(epochs=2, batch_size=16, seed=5)
+    train(model, ids, labels, more)
+    train(resumed, ids, labels, more)
+    assert serialize(resumed) == serialize(model)
+
+
 def test_inspect_header_reports_sizes(models):
     data = serialize(models["frozen"])
     info = inspect_header(data)
@@ -324,3 +382,88 @@ def test_inspect_header_reports_the_file_size(models):
     data = MAGIC + bytes([1]) + struct.pack("<I", len(blob)) + blob + payload
     deserialize(data)
     assert inspect_header(data)["total_bytes"] == len(data)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any damage to an artifact is a FormatError or a loadable model
+# ---------------------------------------------------------------------------
+
+FUZZ = settings(max_examples=250, deadline=None, derandomize=True, database=None)
+
+# JSON values of every type: numbers past the float and integer ranges and
+# long lists of small integers (shapes of many dimensions) get a share of
+# their own
+JSON_VALUES = st.one_of(
+    st.sampled_from([2**31, 2**64, 10**400, -(10**400), 1e300, 1e-300, -0.0]),
+    st.lists(st.integers(0, 2), max_size=40),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=4))
+
+
+@pytest.fixture(scope="module")
+def artifacts(models):
+    return {kind: serialize(models[kind]) for kind in KINDS}
+
+
+def _load_or_reject(data):
+    """Loading damaged bytes raises FormatError and nothing else; a model
+    that does load serializes again."""
+    try:
+        model = deserialize(data)
+    except FormatError:
+        return
+    serialize(model)
+
+
+@FUZZ
+@given(kind=st.sampled_from(KINDS), region=st.sampled_from(["prefix", "header", "payload"]),
+       truncate=st.booleans(), data=st.data())
+def test_fuzz_damaged_bytes(artifacts, kind, region, truncate, data):
+    blob = bytearray(artifacts[kind])
+    (header_len,) = struct.unpack("<I", blob[5:9])
+    start, end = {"prefix": (0, 9), "header": (9, 9 + header_len),
+                  "payload": (9 + header_len, len(blob))}[region]
+    pos = data.draw(st.integers(start, end - 1))
+    if truncate:
+        del blob[pos:]
+    else:
+        blob[pos] ^= data.draw(st.integers(1, 255))
+    _load_or_reject(bytes(blob))
+
+
+def _json_paths(value, path=()):
+    """The path to every value in a JSON document, the root's included."""
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _paths_by_key(header):
+    """The paths into a header grouped by their last key, so that a rare key
+    (a tensor's scale, a tracker's decay) is drawn as often as a common one."""
+    groups = {}
+    for path in _json_paths(header):
+        groups.setdefault(repr(path[-1:]) if not path or isinstance(path[-1], str)
+                          else "index", []).append(path)
+    return [groups[key] for key in sorted(groups)]
+
+
+@FUZZ
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_fuzz_header_values_of_other_types(artifacts, kind, data):
+    header, _, payload = _split(artifacts[kind])
+    path = data.draw(st.sampled_from(data.draw(st.sampled_from(_paths_by_key(header)))))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        header = value
+    else:
+        parent = header
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    _load_or_reject(_rebuild(header, payload))

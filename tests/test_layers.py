@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_input_grad, check_param_grads, relative_l2
+from gradcheck import (
+    attention,
+    check_input_grad,
+    check_param_grads,
+    embedding,
+    encoder_block,
+    linear,
+    relative_l2,
+)
 from qat8.layers import (
-    EncoderBlock,
-    LayerNorm,
-    MultiHeadAttention,
     Parameter,
-    QuantizedEmbedding,
-    QuantizedLinear,
     attention_mix,
     gelu_backward,
     gelu_forward,
@@ -133,14 +136,14 @@ def test_split_merge_heads_round_trip(rng):
 
 
 def test_linear_matches_plain_affine_when_quant_disabled(rng):
-    fc = QuantizedLinear(6, 4, rng=rng)
+    fc = linear(rng, 6, 4)
     x = rng.normal(size=(3, 6)).astype(np.float32)
     expected = x @ fc.weight.value.T + fc.bias.value
     np.testing.assert_allclose(fc.forward(x), expected, rtol=1e-6)
 
 
 def test_linear_handles_leading_batch_axes(rng):
-    fc = QuantizedLinear(6, 4, rng=rng)
+    fc = linear(rng, 6, 4)
     x = rng.normal(size=(2, 5, 6)).astype(np.float32)
     out = fc.forward(x)
     assert out.shape == (2, 5, 4)
@@ -149,18 +152,18 @@ def test_linear_handles_leading_batch_axes(rng):
 
 def test_linear_rejects_wrong_last_dim(rng):
     with pytest.raises(ShapeError):
-        QuantizedLinear(6, 4, rng=rng).forward(np.zeros((2, 5), np.float32))
+        linear(rng, 6, 4).forward(np.zeros((2, 5), np.float32))
 
 
 def test_linear_backward_requires_training_forward(rng):
-    fc = QuantizedLinear(3, 2, rng=rng)
+    fc = linear(rng, 3, 2)
     fc.forward(np.zeros((1, 3), np.float32), training=False)
     with pytest.raises(RuntimeError):
         fc.backward(np.zeros((1, 2), np.float32))
 
 
 def test_linear_fp32_gradients(rng):
-    fc = QuantizedLinear(5, 4, rng=rng)
+    fc = linear(rng, 5, 4)
     fc.weight.value = (rng.normal(size=(4, 5)) * 0.5).astype(np.float32)
     x = rng.normal(size=(3, 5)).astype(np.float32)
     overall, errs = check_param_grads(
@@ -175,7 +178,7 @@ def test_linear_fp32_gradients(rng):
 def test_quantized_linear_forward_uses_grid_operands(rng):
     from qat8.quant import activation_scale
 
-    fc = QuantizedLinear(6, 4, rng=rng, m=127)
+    fc = linear(rng, 6, 4, m=127)
     x = rng.normal(size=(8, 6)).astype(np.float32)
     out = fc.forward(x, training=True)
     x_used, w_used, _ = fc._cache
@@ -190,7 +193,7 @@ def test_quantized_linear_forward_uses_grid_operands(rng):
 
 def test_quantized_linear_ste_backward_is_exact(rng):
     # straight-through: grads are plain matmuls against the quantized operands
-    fc = QuantizedLinear(6, 4, rng=rng, m=127)
+    fc = linear(rng, 6, 4, m=127)
     x = rng.normal(size=(8, 6)).astype(np.float32)
     fc.forward(x, training=True)
     x_used, w_used, _ = fc._cache
@@ -203,7 +206,7 @@ def test_quantized_linear_ste_backward_is_exact(rng):
 
 def test_quantized_linear_ste_has_no_range_mask(rng):
     # inputs far beyond the tracked range still receive full gradient
-    fc = QuantizedLinear(4, 3, rng=rng, m=127)
+    fc = linear(rng, 4, 3, m=127)
     fc.forward(np.full((2, 4), 0.1, np.float32), training=True)  # seeds EMA small
     x = np.full((2, 4), 50.0, np.float32)  # way outside the clip range
     fc.forward(x, training=True)
@@ -212,7 +215,7 @@ def test_quantized_linear_ste_has_no_range_mask(rng):
 
 
 def test_master_weights_stay_off_grid_fp32(rng):
-    fc = QuantizedLinear(6, 4, rng=rng, m=127)
+    fc = linear(rng, 6, 4, m=127)
     before = fc.weight.value.copy()
     fc.forward(rng.normal(size=(2, 6)).astype(np.float32), training=True)
     assert fc.weight.value.dtype == np.float32
@@ -222,7 +225,7 @@ def test_master_weights_stay_off_grid_fp32(rng):
 def test_ema_ordering_flag(rng):
     x1 = np.full((1, 4), 2.0, np.float32)
     x2 = np.full((1, 4), 4.0, np.float32)
-    fc = QuantizedLinear(4, 2, rng=np.random.default_rng(0), m=127)
+    fc = linear(np.random.default_rng(0), 4, 2, m=127)
     fc.forward(x1, training=True)  # the first batch seeds the EMA
     fc.forward(x2, training=True)
     # the second batch folds into the EMA before it is quantized
@@ -238,11 +241,11 @@ def test_ema_ordering_flag(rng):
 
 
 def test_embedding_lookup_plain_and_quantized(rng):
-    emb = QuantizedEmbedding(10, 4, rng=rng)
+    emb = embedding(rng, 10, 4)
     ids = np.array([[0, 3], [9, 3]])
     np.testing.assert_array_equal(emb.forward(ids), emb.table.value[ids])
 
-    emb_q = QuantizedEmbedding(10, 4, rng=rng, m=127)
+    emb_q = embedding(rng, 10, 4, m=127)
     out = emb_q.forward(ids)
     scale = weight_scale(emb_q.table.value)
     expected = dequantize(quantize(emb_q.table.value, scale), scale)[ids]
@@ -250,7 +253,7 @@ def test_embedding_lookup_plain_and_quantized(rng):
 
 
 def test_embedding_rejects_bad_ids(rng):
-    emb = QuantizedEmbedding(10, 4, rng=rng)
+    emb = embedding(rng, 10, 4)
     with pytest.raises(IndexError):
         emb.forward(np.array([[10]]))
     with pytest.raises(IndexError):
@@ -260,7 +263,7 @@ def test_embedding_rejects_bad_ids(rng):
 
 
 def test_embedding_backward_scatters_with_duplicates(rng):
-    emb = QuantizedEmbedding(10, 3, rng=rng)
+    emb = embedding(rng, 10, 3)
     ids = np.array([[2, 2, 5]])
     emb.forward(ids, training=True)
     up = np.ones((1, 3, 3), np.float32)
@@ -281,7 +284,7 @@ def _reference_attention(x, layer):
         return t @ fc.weight.value.T + fc.bias.value
 
     q, k, v = (affine(x, p) for p in (layer.q_proj, layer.k_proj, layer.v_proj))
-    head_dim = layer.dim // layer.num_heads
+    head_dim = x.shape[-1] // layer.num_heads
     outs = []
     for head in range(layer.num_heads):
         sl = slice(head * head_dim, (head + 1) * head_dim)
@@ -293,7 +296,7 @@ def _reference_attention(x, layer):
 
 
 def test_attention_matches_independent_reference(rng):
-    layer = MultiHeadAttention(8, 2, rng=rng)
+    layer = attention(rng, 8, 2)
     for p in (layer.q_proj, layer.k_proj, layer.v_proj, layer.out_proj):
         p.weight.value = (rng.normal(size=p.weight.value.shape) * 0.3).astype(np.float32)
         p.bias.value = rng.normal(size=p.bias.value.shape).astype(np.float32) * 0.1
@@ -312,7 +315,7 @@ def test_attention_mix_matches_layer_internals(rng):
 
 
 def test_attention_gradients(rng):
-    layer = MultiHeadAttention(8, 2, rng=rng)
+    layer = attention(rng, 8, 2)
     for _, p in layer.named_params():
         p.value = (rng.normal(size=p.value.shape) * 0.3).astype(np.float32)
     x = rng.normal(size=(2, 4, 8)).astype(np.float32)
@@ -326,7 +329,7 @@ def test_attention_gradients(rng):
 
 
 def test_encoder_block_gradients(rng):
-    block = EncoderBlock(8, 2, 16, rng=rng)
+    block = encoder_block(rng, 8, 2, 16)
     for _, p in block.named_params():
         if p.value.ndim == 2:
             p.value = (rng.normal(size=p.value.shape) * 0.3).astype(np.float32)
@@ -341,6 +344,6 @@ def test_encoder_block_gradients(rng):
 
 
 def test_encoder_block_backward_requires_forward(rng):
-    block = EncoderBlock(8, 2, 16, rng=rng)
+    block = encoder_block(rng, 8, 2, 16)
     with pytest.raises(RuntimeError):
         block.backward(np.zeros((1, 2, 8), np.float32))

@@ -125,9 +125,9 @@ def test_export_requires_initialized_trackers():
 
 def test_export_freezes_scales_and_bias():
     model, ids, _ = _trained_qat_model()
-    frozen = export(model)
+    layers = dict(export(model).named_modules())
     for name, layer in model.named_qlinears():
-        blk_fc = frozen.layers[name]
+        blk_fc = layers[name]
         s_w = weight_scale(layer.weight.value)
         np.testing.assert_array_equal(blk_fc.weight_q,
                                       quantize(layer.weight.value, s_w))
@@ -154,12 +154,12 @@ def test_frozen_model_matches_fake_quant_eval_path():
 
 def test_frozen_weights_are_int8():
     model, _, _ = _trained_qat_model()
-    frozen = export(model)
+    layers = dict(export(model).named_modules())
     for name, _ in model.named_qlinears():
-        assert frozen.layers[name].weight_q.dtype == np.int8
-        assert frozen.layers[name].bias_q.dtype == np.int32
-    assert frozen.layers["token_emb"].table_q.dtype == np.int8
-    assert frozen.layers["pos_emb"].table_q.dtype == np.int8
+        assert layers[name].weight_q.dtype == np.int8
+        assert layers[name].bias_q.dtype == np.int32
+    assert layers["token_emb"].table_q.dtype == np.int8
+    assert layers["pos_emb"].table_q.dtype == np.int8
 
 
 def test_export_rejects_a_bias_that_could_wrap_int32():
@@ -178,7 +178,7 @@ def test_export_rejects_a_bias_that_could_wrap_int32():
 def test_int32_accumulator_bound_is_exact(four_kinds, name, index):
     frozen = export(four_kinds["qat"])
     assert frozen.overflowing_layers() == []
-    layer = frozen.layers[name]
+    layer = dict(frozen.named_modules())[name]
     headroom = INT32_MAX - layer.weight_q.shape[1] * 127 ** 2
     for peak, flagged in ((headroom, []), (headroom + 1, [name])):
         for sign in (1, -1):
@@ -204,7 +204,7 @@ def test_export_is_deterministic():
 def test_dq_weights_follow_weight_scale_grid():
     model = TransformerEncoderModel(TINY, quant_enabled=False, seed=0)
     dq = dq_quantize(model)
-    fc = dq.layers["classifier"]
+    fc = dict(dq.named_modules())["classifier"]
     w = model.classifier.weight.value
     np.testing.assert_array_equal(fc.weight_q, quantize(w, weight_scale(w)))
     np.testing.assert_array_equal(fc.bias, model.classifier.bias.value)  # FP32
