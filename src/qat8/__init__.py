@@ -25,7 +25,8 @@ from .runtime import (
 )
 from .task import ComparisonReport, SyntheticTask, relative_error, run_comparison
 from .tensor import CapacityError, ShapeError, gemm_f32, gemm_i8_i32
-from .training import TrainConfig, TrainingDivergedError, TrainReport, accuracy_of, train
+from .training import (NonFiniteLogitsError, TrainConfig, TrainingDivergedError, TrainReport,
+                       accuracy_of, train)
 
 __version__ = "0.1.0"
 
@@ -37,6 +38,7 @@ __all__ = [
     "ExportError",
     "FormatError",
     "ModelConfig",
+    "NonFiniteLogitsError",
     "QuantizedModelFrozen",
     "RunConfig",
     "ShapeError",

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 bad configuration or input, 3 training diverged,
-4 unreadable or damaged artifact.
+Exit codes: 0 success, 2 bad configuration or input, 3 non-finite numbers
+(training diverged, or a model gave NaN/Inf logits), 4 unreadable or
+damaged artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .model import TransformerEncoderModel
 from .quant import TrackerStateError
 from .runtime import DynamicQuantModel, ExportError, QuantizedModelFrozen, dq_quantize, export
 from .task import percent_accuracy, run_comparison
-from .training import TrainingDivergedError, train
+from .training import NonFiniteLogitsError, TrainingDivergedError, train
 
 
 def _write_json(path: str, payload: dict):
@@ -189,6 +190,9 @@ def main(argv=None) -> int:
         return 4
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
+        return 3
+    except NonFiniteLogitsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, ExportError, TrackerStateError) as exc:
         print(f"error: {exc}", file=sys.stderr)

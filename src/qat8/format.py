@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .layers import LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
+from .layers import BIAS_WRAP, LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import EmaTracker, max_quant_value
 from .runtime import (
@@ -252,11 +252,23 @@ def _read_tensor(entry, payload) -> np.ndarray:
     array = np.frombuffer(raw, dtype=_DTYPES[entry["dtype"]]).reshape(entry["shape"]).copy()
     if entry["dtype"] == "f32" and not np.isfinite(array).all():
         raise FormatError(f"tensor {entry['name']} contains non-finite values")
-    # the Int8 grid is symmetric: quantization never produces -128
-    if entry["dtype"] == "i8" and array.size and array.min() == -128:
-        raise FormatError(f"tensor {entry['name']} contains -128, off the "
-                          "symmetric Int8 grid")
     return array
+
+
+def _check_grid(int8_tensors: dict, m: int):
+    """Every i8 tensor must lie on the symmetric grid [-m, m]: quantization
+    never leaves it, and the Int32 bound max|bias_q| + K*m^2 holds only for
+    weights on it. One pass over all of them settles the usual case."""
+    if not int8_tensors:
+        return
+    values = np.concatenate([array.ravel() for array in int8_tensors.values()])
+    if values.min() >= -m and values.max() <= m:
+        return
+    for name, array in int8_tensors.items():
+        low, high = array.min(), array.max()
+        if low < -m or high > m:
+            raise FormatError(f"tensor {name} contains {low if low < -m else high}, off "
+                              f"the symmetric grid [-{m}, {m}] of the header's bits")
 
 
 def _input_scale(header, name) -> np.float32:
@@ -291,7 +303,7 @@ def _restore(header, payload, config, kind):
     # what a layer takes besides its tensors, by layer kind
     extra = ({EMBEDDING: {"m": m}, NORM: {}, LINEAR: {"m": m, "ema_decay": config.ema_decay}}
              if kind in (KIND_FP32, KIND_QAT) else {EMBEDDING: {}, NORM: {}, LINEAR: {"m": m}})
-    layers = {}
+    layers, int8_tensors = {}, {}
     for name, layer_kind, shape in layer_tree(config):
         fields = dict(extra[layer_kind])
         for suffix, dtype, rank, scale_field in SCHEMA[kind][layer_kind]:
@@ -303,6 +315,8 @@ def _restore(header, payload, config, kind):
                 raise FormatError(f"tensor {tensor}: dtype {entry['dtype']} and shape "
                                   f"{entry['shape']} are not {dtype} and config shape {implied}")
             fields[suffix] = _read_tensor(entry, payload)
+            if dtype == "i8":
+                int8_tensors[tensor] = fields[suffix]
             if scale_field:
                 if "scale" not in entry:
                     raise FormatError(f"tensor {tensor} has no scale")
@@ -314,11 +328,11 @@ def _restore(header, payload, config, kind):
             layer.input_tracker = _tracker(header, name)
     if entries:
         raise FormatError(f"tensor set mismatch: unexpected {sorted(entries)}")
+    _check_grid(int8_tensors, m)
     model = model_cls(config, layers)
     wrapping = model.overflowing_layers() if kind == KIND_FROZEN else []
     if wrapping:
-        raise FormatError("Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1 "
-                          f"in {', '.join(wrapping)}")
+        raise FormatError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
     return model
 
 

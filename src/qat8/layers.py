@@ -2,10 +2,13 @@
 
 Linear and embedding layers are quantization-capable: given a grid max
 ``m`` they fake-quantize their weights (and, for linear, their inputs) onto
-the symmetric grid [-m, m] during the forward pass and back-propagate
+the symmetric grid [-m, m] in the training forward pass and back-propagate
 through the rounding with the straight-through estimator; with ``m=None``
-they are plain FP32. Softmax, layer norm and GELU are plain FP32
-and have no quantized variants.
+they are plain FP32. In eval a quantized linear runs the Int8 layer that
+export freezes from it, and a quantized embedding the table export freezes,
+each cached until the layer's state changes, so the simulation gives the
+exported model's bits. Softmax, layer norm and GELU are plain FP32 and have
+no quantized variants.
 
 A leaf layer takes its tensors and reads its sizes from their shapes; the
 attention and encoder-block containers take their leaves.
@@ -14,20 +17,15 @@ attention and encoder-block containers take their leaves.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import (
-    EmaTracker,
-    activation_scale,
-    ema_update,
-    fake_quantize,
-    max_quant_value,
-    weight_scale,
-)
-from .tensor import ShapeError, gemm_f32
+from .quant import EmaTracker, activation_scale, ema_update, fake_quantize, quantize, weight_scale
+from .tensor import ShapeError, gemm_f32, gemm_i8_i32
 
 LAYER_NORM_EPS = 1e-12
+INT32_MAX = (1 << 31) - 1
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -147,13 +145,91 @@ def linear_rows(x, n_in: int):
     return x.reshape(-1, n_in), x.shape[:-1]
 
 
+class ExportError(RuntimeError):
+    """The model cannot be exported to integer form."""
+
+
+BIAS_WRAP = ("Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1, "
+             "so the accumulator could wrap")
+
+
+class AccumulatorWrapError(ExportError):
+    """An FC layer's Int32 bias leaves its accumulator room to wrap; the
+    model that holds the layer names it."""
+
+    def __init__(self, layer):
+        super().__init__(BIAS_WRAP)
+        self.layer = layer
+
+
+@dataclass
+class QuantizedLinearFrozen:
+    """FC layer frozen to Int8 weight, Int32 bias, and fixed scales."""
+
+    weight_q: np.ndarray   # int8, [out, in]
+    weight_scale: np.float32
+    input_scale: np.float32
+    bias_q: np.ndarray     # int32, [out]
+    m: int = 127           # the grid is [-m, m]
+
+    @property
+    def bias_scale(self) -> np.float32:
+        return np.float32(self.input_scale) * np.float32(self.weight_scale)
+
+    def accumulator_headroom(self) -> int:
+        """The largest max|bias_q| the Int32 accumulator takes on every input.
+
+        Inputs and weights lie on the grid [-m, m], so |x_q . w_q| <= K m**2
+        for inner dimension K, and ``acc = x_q . w_q + bias_q`` fits in Int32
+        for every input exactly when max|bias_q| + K m**2 <= 2**31 - 1.
+        """
+        return INT32_MAX - self.weight_q.shape[1] * self.m ** 2
+
+    def forward(self, x, training: bool = False) -> np.ndarray:
+        return int8_linear_infer(self, x)
+
+
+def int8_linear_infer(layer: QuantizedLinearFrozen, x) -> np.ndarray:
+    """Quantize the input with the frozen scale, run Int8 GEMM into the
+    Int32 bias, then dequantize the accumulator by input_scale * weight_scale."""
+    x2, lead = linear_rows(x, layer.weight_q.shape[1])
+    acc = gemm_i8_i32(quantize(x2, layer.input_scale, layer.m), layer.weight_q.T)
+    acc += layer.bias_q
+    y = acc.astype(np.float32)
+    y /= layer.bias_scale
+    return y.reshape(lead + (layer.weight_q.shape[0],))
+
+
+def peak(q) -> int:
+    """max |q| of an integer array, exact even for -2**31."""
+    return int(np.abs(q, dtype=np.int64).max())
+
+
+def freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
+    """The Int8 layer of a quantization-aware FC layer: its weight on the
+    weight scale's grid, its input scale frozen from the EMA tracker, and its
+    bias on the Int32 grid of their product."""
+    w = layer.weight.value
+    s_x = activation_scale(layer.input_tracker, m)
+    s_w = weight_scale(w, m)
+    bias_scale = np.float32(s_x) * np.float32(s_w)
+    return QuantizedLinearFrozen(
+        weight_q=quantize(w, s_w, m),
+        weight_scale=s_w,
+        input_scale=s_x,
+        bias_q=quantize(layer.bias.value, bias_scale, INT32_MAX).astype(np.int32),
+        m=m,
+    )
+
+
 class QuantizedLinear:
     """FC layer that fake-quantizes its input and weight onto [-m, m].
 
     The FP32 master weight is the only thing the optimizer ever touches;
-    fake quantization produces fresh arrays each forward. The bias is added
-    in FP32, untouched by training-time quantization. With ``m=None`` this
-    is a plain FP32 linear layer.
+    fake quantization produces fresh arrays each training forward, and the
+    bias is added in FP32. Eval runs :func:`int8_linear_infer` on the layer
+    :func:`freeze_linear` builds, as export does. With ``m=None`` this is a
+    plain FP32 linear layer.
     """
 
     def __init__(self, weight, bias, *, m: int | None = None, ema_decay: float = 0.9):
@@ -163,34 +239,47 @@ class QuantizedLinear:
         self.m = m
         self.input_tracker = EmaTracker(decay=ema_decay)
         self._cache = None
+        self._frozen = self._frozen_from = None
 
     def named_params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
+    def frozen(self) -> QuantizedLinearFrozen:
+        """The Int8 layer export would build from this one.
+
+        It is cached, and rebuilt when a value it is built from differs
+        from the cached build's. The optimizer writes the arrays in place and
+        a caller may reassign them, so they are compared by value (bytes),
+        not by identity.
+        """
+        tracker = self.input_tracker
+        state = (self.weight.value.tobytes(), self.bias.value.tobytes(),
+                 tracker.running_max, tracker.initialized, self.m)
+        if state != self._frozen_from:
+            frozen = freeze_linear(self, self.m)
+            if peak(frozen.bias_q) > frozen.accumulator_headroom():
+                raise AccumulatorWrapError(self)
+            self._frozen, self._frozen_from = frozen, state
+        return self._frozen
+
     def forward(self, x, training: bool = False) -> np.ndarray:
-        x2, lead = linear_rows(x, self.in_features)
         m = self.m
+        if m is not None and not training:
+            # eval predicts the integer runtime by running it
+            return int8_linear_infer(self.frozen(), x)
+        x2, lead = linear_rows(x, self.in_features)
         if m is not None:
-            if training:
-                # the batch's own max joins the EMA before it is quantized
-                ema_update(self.input_tracker, float(np.max(np.abs(x2))))
+            # the batch's own max joins the EMA before it is quantized
+            ema_update(self.input_tracker, float(np.max(np.abs(x2))))
             s_x = activation_scale(self.input_tracker, m)
             s_w = weight_scale(self.weight.value, m)
             x_used = fake_quantize(x2, s_x, m)
             w_used = fake_quantize(self.weight.value, s_w, m)
-            if not training:
-                # eval predicts what the integer runtime will produce, so the
-                # bias is rounded to its Int32 grid like the frozen artifact's
-                s_b = np.float32(s_x) * np.float32(s_w)
-                b_used = fake_quantize(self.bias.value, s_b, max_quant_value(32))
-            else:
-                b_used = self.bias.value
         else:
             x_used = x2
             w_used = self.weight.value
-            b_used = self.bias.value
 
-        y = gemm_f32(x_used, w_used.T) + b_used
+        y = gemm_f32(x_used, w_used.T) + self.bias.value
         if training:
             self._cache = (x_used, w_used, lead)
         return y.reshape(lead + (self.out_features,))
@@ -216,7 +305,9 @@ class QuantizedEmbedding:
     with ``m=None``.
 
     The table is quantized with its own weight scale (max |table|); there is
-    no activation tracker because the rows are weights, not activations.
+    no activation tracker because the rows are weights, not activations. In
+    eval the quantized table is cached until the table's values change; its
+    rows are the exported table's rows dequantized, bit for bit.
     """
 
     def __init__(self, table, *, m: int | None = None):
@@ -224,19 +315,31 @@ class QuantizedEmbedding:
         self.num_entries, self.dim = self.table.value.shape
         self.m = m
         self._cache = None
+        self._quantized = self._quantized_from = None
 
     def named_params(self):
         return [("table", self.table)]
 
+    def quantized_table(self) -> np.ndarray:
+        """The table fake-quantized onto its grid, which is the exported table
+        dequantized; cached like :meth:`QuantizedLinear.frozen`."""
+        state = (self.table.value.tobytes(), self.m)
+        if state != self._quantized_from:
+            self._quantized = self._fake_quantized_table()
+            self._quantized_from = state
+        return self._quantized
+
+    def _fake_quantized_table(self) -> np.ndarray:
+        return fake_quantize(self.table.value, weight_scale(self.table.value, self.m), self.m)
+
     def forward(self, ids, training: bool = False) -> np.ndarray:
         ids = embedding_ids(ids, self.num_entries)
-        m = self.m
-        if m is not None:
-            table_used = fake_quantize(
-                self.table.value, weight_scale(self.table.value, m), m
-            )
-        else:
+        if self.m is None:
             table_used = self.table.value
+        elif training:
+            table_used = self._fake_quantized_table()
+        else:
+            table_used = self.quantized_table()
         if training:
             self._cache = ids
         return table_used[ids]

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (EncoderBlock, LayerNorm, MultiHeadAttention, Parameter, QuantizedEmbedding,
-                     QuantizedLinear)
+from .layers import (AccumulatorWrapError, EncoderBlock, ExportError, LayerNorm,
+                     MultiHeadAttention, Parameter, QuantizedEmbedding, QuantizedLinear)
 from .quant import max_quant_value
 from .tensor import ShapeError
 
@@ -158,13 +158,20 @@ class TransformerEncoderModel:
         if seq > self.config.max_seq_len:
             raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
-        x = self.token_emb.forward(ids, training) + self.pos_emb.forward(pos_ids, training)
-        x = self.emb_norm.forward(x, training)
-        for block in self.blocks:
-            x = block.forward(x, training)
+        try:
+            x = self.token_emb.forward(ids, training) + self.pos_emb.forward(pos_ids, training)
+            x = self.emb_norm.forward(x, training)
+            for block in self.blocks:
+                x = block.forward(x, training)
+            logits = self.classifier.forward(x[:, 0, :], training)
+        except AccumulatorWrapError as exc:
+            # a QAT layer in eval refuses the Int32 bias export refuses; it
+            # does not know its name, the model does
+            names = [name for name, leaf in self.named_modules() if leaf is exc.layer]
+            raise ExportError(f"{exc}, in {', '.join(names)}") from None
         if training:
             self._batch_shape = ids.shape
-        return self.classifier.forward(x[:, 0, :], training)
+        return logits
 
     def backward(self, d_logits) -> None:
         if self._batch_shape is None:

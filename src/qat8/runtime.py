@@ -19,37 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# attention_mix and gelu_forward run in the shared forward of qat8.model; they
-# stay importable from here, where perfbench/spans.py looks up the FP32 ops
-from .layers import (attention_mix, embedding_ids, gelu_forward,  # noqa: F401
-                     layer_norm_forward, linear_rows)
+# attention_mix and gelu_forward run in the shared forward of qat8.model, and
+# the frozen FC layer lives in qat8.layers, where the QAT layers run it in
+# eval; all stay importable from here, where perfbench/spans.py looks them up
+from .layers import (BIAS_WRAP, INT32_MAX, ExportError,  # noqa: F401
+                     QuantizedLinearFrozen, attention_mix, embedding_ids, freeze_linear,
+                     gelu_forward, int8_linear_infer, layer_norm_forward, linear_rows, peak)
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
-from .quant import activation_scale, dynamic_scale, max_quant_value, quantize, weight_scale
+from .quant import dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import gemm_i8_i32
-
-INT32_MAX = (1 << 31) - 1
-
-
-class ExportError(RuntimeError):
-    """The model cannot be exported to integer form."""
-
-
-@dataclass
-class QuantizedLinearFrozen:
-    """FC layer frozen to Int8 weight, Int32 bias, and fixed scales."""
-
-    weight_q: np.ndarray   # int8, [out, in]
-    weight_scale: np.float32
-    input_scale: np.float32
-    bias_q: np.ndarray     # int32, [out]
-    m: int = 127           # the grid is [-m, m]
-
-    @property
-    def bias_scale(self) -> np.float32:
-        return np.float32(self.input_scale) * np.float32(self.weight_scale)
-
-    def forward(self, x, training: bool = False) -> np.ndarray:
-        return int8_linear_infer(self, x)
 
 
 @dataclass
@@ -91,17 +69,6 @@ class LayerNormFrozen:
         return layer_norm_forward(x, self.gain, self.bias)[0]
 
 
-def int8_linear_infer(layer: QuantizedLinearFrozen, x) -> np.ndarray:
-    """Quantize the input with the frozen scale, run Int8 GEMM into the
-    Int32 bias, then dequantize the accumulator by input_scale * weight_scale."""
-    x2, lead = linear_rows(x, layer.weight_q.shape[1])
-    acc = gemm_i8_i32(quantize(x2, layer.input_scale, layer.m), layer.weight_q.T)
-    acc += layer.bias_q
-    y = acc.astype(np.float32)
-    y /= layer.bias_scale
-    return y.reshape(lead + (layer.weight_q.shape[0],))
-
-
 def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
     """Int8 GEMM with the activation scale taken from the incoming tensor."""
     x2, lead = linear_rows(x, layer.weight_q.shape[1])
@@ -110,11 +77,6 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
     y /= np.float32(s_x) * np.float32(layer.weight_scale)
     y += layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))
-
-
-def _peak(q) -> int:
-    """max |q| of an integer array, exact even for -2**31."""
-    return int(np.abs(q, dtype=np.int64).max())
 
 
 class _IntegerEncoder(TransformerEncoderModel):
@@ -134,40 +96,21 @@ class QuantizedModelFrozen(_IntegerEncoder):
     """Exported model: Int8 weights, Int32 biases, frozen scales."""
 
     def overflowing_layers(self) -> list[str]:
-        """The FC layers whose Int32 accumulator can wrap on some input.
-
-        Inputs and weights lie on the grid [-m, m], so |x_q . w_q| <= K m**2
-        for inner dimension K, and ``acc = x_q . w_q + bias_q`` fits in Int32
-        for every input exactly when max|bias_q| + K m**2 <= 2**31 - 1.
-        """
+        """The FC layers whose Int32 accumulator can wrap on some input: those
+        whose max|bias_q| exceeds their accumulator headroom."""
         fcs = {name: layer for name, layer in self.named_modules()
                if isinstance(layer, QuantizedLinearFrozen)}
-        headroom = {name: INT32_MAX - layer.weight_q.shape[1] * layer.m ** 2
-                    for name, layer in fcs.items()}
+        headroom = {name: layer.accumulator_headroom() for name, layer in fcs.items()}
         # one pass over all the biases against the tightest headroom settles
         # the usual case at a fraction of the cost of one pass per layer
         biases = np.concatenate([layer.bias_q for layer in fcs.values()])
-        if _peak(biases) <= min(headroom.values()):
+        if peak(biases) <= min(headroom.values()):
             return []
-        return [name for name, layer in fcs.items() if _peak(layer.bias_q) > headroom[name]]
+        return [name for name, layer in fcs.items() if peak(layer.bias_q) > headroom[name]]
 
 
 class DynamicQuantModel(_IntegerEncoder):
     """Post-training model: Int8 weights, FP32 biases, per-tensor dynamic scales."""
-
-
-def _freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
-    w = layer.weight.value
-    s_w = weight_scale(w, m)
-    s_x = activation_scale(layer.input_tracker, m)
-    bias_scale = np.float32(s_x) * np.float32(s_w)
-    return QuantizedLinearFrozen(
-        weight_q=quantize(w, s_w, m),
-        weight_scale=s_w,
-        input_scale=s_x,
-        bias_q=quantize(layer.bias.value, bias_scale, INT32_MAX).astype(np.int32),
-        m=m,
-    )
 
 
 def _freeze_embedding(emb, m: int) -> QuantizedEmbeddingFrozen:
@@ -213,13 +156,10 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             "model was never trained with quantization: no activation statistics "
             f"for {', '.join(uninitialized)}"
         )
-    frozen = _convert(model, QuantizedModelFrozen, _freeze_linear)
+    frozen = _convert(model, QuantizedModelFrozen, freeze_linear)
     wrapping = frozen.overflowing_layers()
     if wrapping:
-        raise ExportError(
-            "Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1, so the "
-            f"accumulator could wrap, in {', '.join(wrapping)}"
-        )
+        raise ExportError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
     return frozen
 
 

@@ -14,6 +14,10 @@ class TrainingDivergedError(RuntimeError):
     """The loss became NaN/Inf during training."""
 
 
+class NonFiniteLogitsError(RuntimeError):
+    """A model produced NaN/Inf logits, which no argmax can score."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 3
@@ -76,12 +80,26 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def accuracy_of(predict_fn, inputs, labels, batch_size: int = 256) -> float:
-    """Fraction of argmax predictions matching labels, evaluated in batches."""
+    """Fraction of argmax predictions matching labels, evaluated in batches.
+
+    Raises :class:`NonFiniteLogitsError` rather than score NaN/Inf logits.
+    """
     hits = 0
     for start in range(0, len(inputs), batch_size):
         logits = predict_fn(inputs[start:start + batch_size])
+        if not np.isfinite(logits).all():
+            raise NonFiniteLogitsError(
+                f"non-finite logits (NaN or Inf) in rows {start}-{start + len(logits) - 1}")
         hits += int(np.sum(np.argmax(logits, axis=1) == labels[start:start + batch_size]))
     return hits / len(inputs)
+
+
+def _training_accuracy(predict_fn, inputs, labels, batch_size) -> float:
+    """accuracy_of, where non-finite logits mean that training diverged."""
+    try:
+        return accuracy_of(predict_fn, inputs, labels, batch_size)
+    except NonFiniteLogitsError as exc:
+        raise TrainingDivergedError(str(exc)) from exc
 
 
 def _initial_accuracy(model, inputs, labels, batch_size) -> float:
@@ -95,7 +113,7 @@ def _initial_accuracy(model, inputs, labels, batch_size) -> float:
         predict = lambda x: model.forward(x, training=True)
     else:
         predict = model.predict_logits
-    return accuracy_of(predict, inputs, labels, batch_size)
+    return _training_accuracy(predict, inputs, labels, batch_size)
 
 
 def train(model: TransformerEncoderModel, inputs, labels,
@@ -131,6 +149,7 @@ def train(model: TransformerEncoderModel, inputs, labels,
             model.backward(d_logits)
             optimizer.step()
             losses.append(loss)
-        epoch_acc = accuracy_of(model.predict_logits, inputs, labels, config.batch_size)
+        epoch_acc = _training_accuracy(model.predict_logits, inputs, labels,
+                                       config.batch_size)
         report.epochs.append(EpochMetrics(float(np.mean(losses)), epoch_acc))
     return report

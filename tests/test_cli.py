@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qat8.cli import main
@@ -176,6 +177,42 @@ def test_exit_code_4_on_int8_minus_128(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(frozen), *FAST]) == 4
     assert "-128" in capsys.readouterr().err
+
+
+def _write_payload(path, tensor, offset_in_tensor, raw: bytes):
+    """Overwrite bytes of one tensor's payload in an artifact file."""
+    data = bytearray(path.read_bytes())
+    header_len = int.from_bytes(data[5:9], "little")
+    header = json.loads(data[9:9 + header_len])
+    entry = next(e for e in header["tensors"] if e["name"] == tensor)
+    start = 9 + header_len + entry["offset"] + offset_in_tensor
+    data[start:start + len(raw)] = raw
+    path.write_bytes(bytes(data))
+
+
+def test_exit_code_4_on_int8_off_the_grid_of_its_bits(tmp_path, capsys):
+    bits4 = ["--set", "bits=4"]
+    model = _train(tmp_path, "qat", "qat.qat", bits4)
+    frozen = tmp_path / "frozen.qat"
+    assert main(["quantize", "--model", str(model), "--method", "export",
+                 "--out", str(frozen)]) == 0
+    # 100 is an Int8 value, but a bits=4 grid ends at 7
+    _write_payload(frozen, "classifier.weight_q", 0, bytes([100]))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(frozen), *FAST, *bits4]) == 4
+    err = capsys.readouterr().err
+    assert "contains 100, off the symmetric grid [-7, 7]" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_3_on_non_finite_logits(tmp_path, capsys):
+    model = _train(tmp_path, "fp32", "base.qat")
+    # finite, so the artifact loads; the classifier's products overflow FP32
+    _write_payload(model, "classifier.weight", 0, np.float32(3e38).tobytes())
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), *FAST]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite logits" in err and "Traceback" not in err
 
 
 def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):

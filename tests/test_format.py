@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,17 +24,21 @@ TINY = ModelConfig(vocab_size=8, max_seq_len=4, num_classes=2, dim=8,
                    num_heads=2, ffn_dim=16, num_layers=1)
 
 
-@pytest.fixture(scope="module")
-def models():
+def _train_models(config):
     rng = np.random.default_rng(0)
     ids = rng.integers(0, 8, size=(64, 4))
     labels = (ids[:, 0] >= 4).astype(np.int64)
-    fp32 = TransformerEncoderModel(TINY, quant_enabled=False, seed=0)
+    fp32 = TransformerEncoderModel(config, quant_enabled=False, seed=0)
     train(fp32, ids, labels, TrainConfig(epochs=1, batch_size=32, seed=0))
-    qat = TransformerEncoderModel(TINY, quant_enabled=True, seed=0)
+    qat = TransformerEncoderModel(config, quant_enabled=True, seed=0)
     train(qat, ids, labels, TrainConfig(epochs=1, batch_size=32, seed=0))
     return {"fp32": fp32, "qat": qat, "frozen": export(qat),
             "dq": dq_quantize(fp32), "probe": ids[:16]}
+
+
+@pytest.fixture(scope="module")
+def models():
+    return _train_models(TINY)
 
 
 def _split(data):
@@ -224,6 +229,32 @@ def test_rejects_int8_minus_128(models, kind):
     mutated[entry["offset"]] = 0x80
     with pytest.raises(FormatError, match="-128"):
         deserialize(_rebuild(header, bytes(mutated)))
+
+
+@pytest.fixture(scope="module")
+def int8_artifacts(models):
+    """The int8-frozen and int8-dynamic artifacts at bits 4 and 8."""
+    low = _train_models(replace(TINY, bits=4))
+    return {(bits, kind): serialize(source[kind]) for bits, source in ((4, low), (8, models))
+            for kind in ("frozen", "dq")}
+
+
+@pytest.mark.parametrize("tensor", ["classifier.weight_q", "token_emb.table_q"])
+@pytest.mark.parametrize("bits,value,loads", [
+    (4, 7, True), (4, -7, True), (4, 8, False), (4, -8, False), (4, 100, False),
+    (8, 127, True), (8, -127, True), (8, -128, False)])
+@pytest.mark.parametrize("kind", ["frozen", "dq"])
+def test_int8_payloads_must_lie_on_the_grid(int8_artifacts, kind, bits, value, loads, tensor):
+    header, _, payload = _split(int8_artifacts[bits, kind])
+    entry = next(e for e in header["tensors"] if e["name"] == tensor)
+    mutated = bytearray(payload)
+    mutated[entry["offset"]] = value & 0xFF
+    data = _rebuild(header, bytes(mutated))
+    if loads:
+        assert serialize(deserialize(data)) == data
+    else:
+        with pytest.raises(FormatError, match=f"{tensor} contains {value}, off the"):
+            deserialize(data)
 
 
 def test_rejects_int32_bias_that_could_wrap(models):

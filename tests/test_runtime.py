@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from qat8.format import deserialize, serialize
 from qat8.model import ModelConfig, TransformerEncoderModel
-from qat8.quant import dequantize, quantize, weight_scale
+from qat8.optim import Adam
+from qat8.quant import EmaTracker, TrackerStateError, dequantize, quantize, weight_scale
 from qat8.runtime import (
     INT32_MAX,
     DynamicQuantLinear,
@@ -14,17 +18,17 @@ from qat8.runtime import (
     int8_linear_infer,
 )
 from qat8.tensor import ShapeError
-from qat8.training import TrainConfig, train
+from qat8.training import TrainConfig, softmax_cross_entropy, train
 
 TINY = ModelConfig(vocab_size=8, max_seq_len=4, num_classes=2, dim=8,
                    num_heads=2, ffn_dim=16, num_layers=1)
 
 
-def _trained_qat_model(epochs=1, seed=0):
+def _trained_qat_model(epochs=1, seed=0, config=TINY):
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, 8, size=(128, 4))
     labels = (ids[:, 0] >= 4).astype(np.int64)
-    model = TransformerEncoderModel(TINY, quant_enabled=True, seed=seed)
+    model = TransformerEncoderModel(config, quant_enabled=True, seed=seed)
     train(model, ids, labels, TrainConfig(epochs=epochs, batch_size=32, seed=seed))
     return model, ids, labels
 
@@ -145,11 +149,68 @@ def test_frozen_model_matches_fake_quant_eval_path():
     frozen = export(model)
     rng = np.random.default_rng(3)
     probe = rng.integers(0, 8, size=(64, 4))
-    fake = model.predict_logits(probe)
-    integer = frozen.predict_logits(probe)
-    np.testing.assert_allclose(integer, fake, atol=1e-3)
-    agree = (integer.argmax(axis=1) == fake.argmax(axis=1)).mean()
-    assert agree >= 0.999
+    # eval runs the Int8 layers export builds, so the two agree bit for bit
+    np.testing.assert_array_equal(model.predict_logits(probe), frozen.predict_logits(probe))
+
+
+@pytest.mark.parametrize("bits", [4, 8])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_simulation_equals_frozen_at_any_batch_split(bits, seed):
+    model, _, _ = _trained_qat_model(seed=seed, config=replace(TINY, bits=bits))
+    probe = np.random.default_rng(10 + seed).integers(0, 8, size=(48, 4))
+    full = model.predict_logits(probe)
+    rows = np.concatenate([model.predict_logits(probe[i:i + 1]) for i in range(len(probe))])
+    np.testing.assert_array_equal(rows, full)
+    np.testing.assert_array_equal(full, export(model).predict_logits(probe))
+
+
+def _write(model, write):
+    """Change the model the way ``write`` names; returns the model to score."""
+    if write == "weight in place":
+        model.blocks[0].fc_expand.weight.value *= 1.5
+    elif write == "weight reassigned":
+        model.classifier.weight.value = model.classifier.weight.value[::-1].copy()
+    elif write == "bias":
+        model.classifier.bias.value += 0.5
+    elif write == "tracker changed":
+        model.blocks[0].attn.v_proj.input_tracker.running_max *= 0.5
+    elif write == "tracker replaced":
+        old = model.classifier.input_tracker
+        model.classifier.input_tracker = EmaTracker(old.decay, 8 * old.running_max, True)
+    elif write == "embedding table":
+        model.token_emb.table.value *= -1.0
+    elif write == "Adam step":
+        ids = np.random.default_rng(7).integers(0, 8, size=(16, 4))
+        logits = model.forward(ids, training=True)
+        _, d_logits = softmax_cross_entropy(logits, (ids[:, 0] >= 4).astype(np.int64))
+        model.zero_grads()
+        model.backward(d_logits)
+        Adam(model.parameters(), lr=1e-2).step()
+    elif write == "deserialize":
+        model = deserialize(serialize(model))
+    return model
+
+
+WRITES = ["weight in place", "weight reassigned", "bias", "tracker changed",
+          "tracker replaced", "embedding table", "Adam step", "deserialize"]
+
+
+@pytest.mark.parametrize("write", WRITES)
+def test_simulation_notices_every_write(write):
+    model, ids, _ = _trained_qat_model()
+    probe = ids[:32]
+    before = model.predict_logits(probe)   # fills the eval caches
+    model = _write(model, write)
+    after = model.predict_logits(probe)
+    if write != "deserialize":
+        assert not np.array_equal(after, before)
+    np.testing.assert_array_equal(after, export(model).predict_logits(probe))
+
+
+def test_simulation_needs_tracker_state():
+    model = TransformerEncoderModel(TINY, quant_enabled=True, seed=0)
+    with pytest.raises(TrackerStateError):
+        model.predict_logits(np.zeros((1, 4), dtype=np.int64))
 
 
 def test_frozen_weights_are_int8():
@@ -170,6 +231,9 @@ def test_export_rejects_a_bias_that_could_wrap_int32():
     model.classifier.bias.value[:] = 1.0
     with pytest.raises(ExportError, match="classifier"):
         export(model)
+    # the simulation runs the same Int8 layer, so it refuses it as well
+    with pytest.raises(ExportError, match="could wrap, in classifier$"):
+        model.predict_logits(np.zeros((4, 4), dtype=np.int64))
 
 
 @pytest.mark.parametrize("name", ["blocks.0.attn.q_proj", "blocks.0.fc_expand",

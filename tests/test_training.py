@@ -3,6 +3,7 @@ import pytest
 
 from qat8.model import ModelConfig, TransformerEncoderModel
 from qat8.training import (
+    NonFiniteLogitsError,
     TrainConfig,
     TrainingDivergedError,
     accuracy_of,
@@ -45,6 +46,15 @@ def test_accuracy_of_batches_correctly():
         return out
 
     assert accuracy_of(predict, inputs, labels, batch_size=3) == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_accuracy_of_refuses_non_finite_logits(bad):
+    logits = np.zeros((6, 2), dtype=np.float32)
+    logits[4, 1] = bad
+    with pytest.raises(NonFiniteLogitsError, match="rows 3-5"):
+        accuracy_of(lambda x: logits[x], np.arange(6), np.zeros(6, dtype=np.int64),
+                    batch_size=3)
 
 
 def test_train_learns_separable_toy_task():
