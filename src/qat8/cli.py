@@ -124,6 +124,9 @@ def _cmd_inspect(args) -> int:
 def _cmd_size_report(args) -> int:
     baseline_size = os.path.getsize(args.baseline)
     quantized_size = os.path.getsize(args.quantized)
+    for path, size in ((args.baseline, baseline_size), (args.quantized, quantized_size)):
+        if size == 0:
+            raise ValueError(f"{path} is empty: a size ratio needs two non-empty files")
     print(f"baseline:  {args.baseline} ({baseline_size} bytes)")
     print(f"quantized: {args.quantized} ({quantized_size} bytes)")
     print(f"size ratio: {quantized_size / baseline_size:.3f}")

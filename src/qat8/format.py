@@ -19,21 +19,14 @@ from __future__ import annotations
 import json
 import math
 import struct
-from functools import partial
 
 import numpy as np
 
-from .layers import BIAS_WRAP, LayerNorm, Parameter, QuantizedEmbedding, QuantizedLinear
+from .layers import (BIAS_WRAP, LayerNorm, Parameter, QuantizedEmbedding,
+                     QuantizedEmbeddingFrozen, QuantizedLinear, QuantizedLinearFrozen)
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import EmaTracker, max_quant_value
-from .runtime import (
-    DynamicQuantLinear,
-    DynamicQuantModel,
-    LayerNormFrozen,
-    QuantizedEmbeddingFrozen,
-    QuantizedLinearFrozen,
-    QuantizedModelFrozen,
-)
+from .runtime import DynamicQuantLinear, DynamicQuantModel, QuantizedModelFrozen
 
 MAGIC = b"QAT1"
 VERSION = 1
@@ -65,17 +58,15 @@ SCHEMA = {
                    LINEAR: (_INT8_WEIGHT, ("bias", "f32", 1, None))},
 }
 
-# per artifact kind, what builds the model from its layers, and the layer
-# class per layer kind
+# per artifact kind, the model class, and the layer class per layer kind
 _TRAINING_LAYERS = {EMBEDDING: QuantizedEmbedding, NORM: LayerNorm, LINEAR: QuantizedLinear}
 _CLASSES = {
-    KIND_FP32: (TransformerEncoderModel.from_layers, _TRAINING_LAYERS),
-    KIND_QAT: (partial(TransformerEncoderModel.from_layers, quant_enabled=True),
-               _TRAINING_LAYERS),
+    KIND_FP32: (TransformerEncoderModel, _TRAINING_LAYERS),
+    KIND_QAT: (TransformerEncoderModel, _TRAINING_LAYERS),
     KIND_FROZEN: (QuantizedModelFrozen, {EMBEDDING: QuantizedEmbeddingFrozen,
-                                         NORM: LayerNormFrozen, LINEAR: QuantizedLinearFrozen}),
+                                         NORM: LayerNorm, LINEAR: QuantizedLinearFrozen}),
     KIND_DYNAMIC: (DynamicQuantModel, {EMBEDDING: QuantizedEmbeddingFrozen,
-                                       NORM: LayerNormFrozen, LINEAR: DynamicQuantLinear}),
+                                       NORM: LayerNorm, LINEAR: DynamicQuantLinear}),
 }
 
 
@@ -329,7 +320,7 @@ def _restore(header, payload, config, kind):
     if entries:
         raise FormatError(f"tensor set mismatch: unexpected {sorted(entries)}")
     _check_grid(int8_tensors, m)
-    model = model_cls(config, layers)
+    model = model_cls.from_layers(config, layers)
     wrapping = model.overflowing_layers() if kind == KIND_FROZEN else []
     if wrapping:
         raise FormatError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")

@@ -4,11 +4,11 @@ Linear and embedding layers are quantization-capable: given a grid max
 ``m`` they fake-quantize their weights (and, for linear, their inputs) onto
 the symmetric grid [-m, m] in the training forward pass and back-propagate
 through the rounding with the straight-through estimator; with ``m=None``
-they are plain FP32. In eval a quantized linear runs the Int8 layer that
-export freezes from it, and a quantized embedding the table export freezes,
-each cached until the layer's state changes, so the simulation gives the
+they are plain FP32. In eval each runs the integer layer that export
+freezes from it (Int8 FC, Int8 table; the embedding in training too),
+cached until a value it is built from changes, so the simulation gives the
 exported model's bits. Softmax, layer norm and GELU are plain FP32 and have
-no quantized variants.
+no quantized variants; the integer models hold the same :class:`LayerNorm`.
 
 A leaf layer takes its tensors and reads its sizes from their shapes; the
 attention and encoder-block containers take their leaves.
@@ -38,7 +38,8 @@ class Parameter:
 
     def __init__(self, value):
         self.value = np.asarray(value, dtype=np.float32)
-        self.grad = np.zeros_like(self.value)
+        # np.zeros, not zeros_like: a third of the cost, and every load builds many
+        self.grad = np.zeros(self.value.shape, np.float32)
 
     def zero_grad(self):
         self.grad.fill(0.0)
@@ -222,7 +223,45 @@ def freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
     )
 
 
-class QuantizedLinear:
+@dataclass
+class QuantizedEmbeddingFrozen:
+    """Int8 embedding table; rows are dequantized by the table scale on lookup."""
+
+    table_q: np.ndarray    # int8, [entries, dim]
+    scale: np.float32
+
+    def lookup(self, ids) -> np.ndarray:
+        ids = embedding_ids(ids, self.table_q.shape[0])
+        return self.table_q[ids].astype(np.float32) / np.float32(self.scale)
+
+    def forward(self, ids, training: bool = False) -> np.ndarray:
+        return self.lookup(ids)
+
+
+def freeze_embedding(emb, m: int) -> QuantizedEmbeddingFrozen:
+    """The Int8 table of a quantization-aware embedding, on its weight scale's grid."""
+    scale = weight_scale(emb.table.value, m)
+    return QuantizedEmbeddingFrozen(table_q=quantize(emb.table.value, scale, m), scale=scale)
+
+
+class _Freezable:
+    """A quantization-aware leaf that runs the integer layer ``_freeze``
+    builds, as export does, from the values ``_frozen_state`` names."""
+
+    _frozen = _frozen_from = None
+
+    def frozen(self):
+        """The integer layer export would build from this one, cached until a
+        value it is built from changes. The optimizer writes the arrays in
+        place and a caller may reassign them, so they are compared by value
+        (bytes), not by identity."""
+        state = self._frozen_state()
+        if state != self._frozen_from:
+            self._frozen, self._frozen_from = self._freeze(), state
+        return self._frozen
+
+
+class QuantizedLinear(_Freezable):
     """FC layer that fake-quantizes its input and weight onto [-m, m].
 
     The FP32 master weight is the only thing the optimizer ever touches;
@@ -239,28 +278,20 @@ class QuantizedLinear:
         self.m = m
         self.input_tracker = EmaTracker(decay=ema_decay)
         self._cache = None
-        self._frozen = self._frozen_from = None
 
     def named_params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def frozen(self) -> QuantizedLinearFrozen:
-        """The Int8 layer export would build from this one.
-
-        It is cached, and rebuilt when a value it is built from differs
-        from the cached build's. The optimizer writes the arrays in place and
-        a caller may reassign them, so they are compared by value (bytes),
-        not by identity.
-        """
+    def _frozen_state(self):
         tracker = self.input_tracker
-        state = (self.weight.value.tobytes(), self.bias.value.tobytes(),
-                 tracker.running_max, tracker.initialized, self.m)
-        if state != self._frozen_from:
-            frozen = freeze_linear(self, self.m)
-            if peak(frozen.bias_q) > frozen.accumulator_headroom():
-                raise AccumulatorWrapError(self)
-            self._frozen, self._frozen_from = frozen, state
-        return self._frozen
+        return (self.weight.value.tobytes(), self.bias.value.tobytes(),
+                tracker.running_max, tracker.initialized, self.m)
+
+    def _freeze(self) -> QuantizedLinearFrozen:
+        frozen = freeze_linear(self, self.m)
+        if peak(frozen.bias_q) > frozen.accumulator_headroom():
+            raise AccumulatorWrapError(self)
+        return frozen
 
     def forward(self, x, training: bool = False) -> np.ndarray:
         m = self.m
@@ -300,14 +331,15 @@ class QuantizedLinear:
         return grad_x.reshape(lead + (self.in_features,))
 
 
-class QuantizedEmbedding:
+class QuantizedEmbedding(_Freezable):
     """Lookup table returning rows fake-quantized onto [-m, m], or FP32 rows
     with ``m=None``.
 
     The table is quantized with its own weight scale (max |table|); there is
-    no activation tracker because the rows are weights, not activations. In
-    eval the quantized table is cached until the table's values change; its
-    rows are the exported table's rows dequantized, bit for bit.
+    no activation tracker because the rows are weights, not activations.
+    Training and eval both look the rows up in the Int8 table
+    :func:`freeze_embedding` builds, as export does: dequantized, its rows
+    are the fake-quantized table's, bit for bit.
     """
 
     def __init__(self, table, *, m: int | None = None):
@@ -315,34 +347,22 @@ class QuantizedEmbedding:
         self.num_entries, self.dim = self.table.value.shape
         self.m = m
         self._cache = None
-        self._quantized = self._quantized_from = None
 
     def named_params(self):
         return [("table", self.table)]
 
-    def quantized_table(self) -> np.ndarray:
-        """The table fake-quantized onto its grid, which is the exported table
-        dequantized; cached like :meth:`QuantizedLinear.frozen`."""
-        state = (self.table.value.tobytes(), self.m)
-        if state != self._quantized_from:
-            self._quantized = self._fake_quantized_table()
-            self._quantized_from = state
-        return self._quantized
+    def _frozen_state(self):
+        return self.table.value.tobytes(), self.m
 
-    def _fake_quantized_table(self) -> np.ndarray:
-        return fake_quantize(self.table.value, weight_scale(self.table.value, self.m), self.m)
+    def _freeze(self) -> QuantizedEmbeddingFrozen:
+        return freeze_embedding(self, self.m)
 
     def forward(self, ids, training: bool = False) -> np.ndarray:
-        ids = embedding_ids(ids, self.num_entries)
-        if self.m is None:
-            table_used = self.table.value
-        elif training:
-            table_used = self._fake_quantized_table()
-        else:
-            table_used = self.quantized_table()
         if training:
-            self._cache = ids
-        return table_used[ids]
+            self._cache = ids = embedding_ids(ids, self.num_entries)
+        if self.m is None:
+            return self.table.value[embedding_ids(ids, self.num_entries)]
+        return self.frozen().forward(ids)  # the lookup checks the ids
 
     def backward(self, upstream) -> None:
         """Scatter upstream gradients into the FP32 table (STE through rows)."""

@@ -90,27 +90,25 @@ class TransformerEncoderModel:
     """Token + position embeddings, encoder blocks, first-token classifier.
 
     The tree runs the same way on any leaves: the training layers of
-    :mod:`qat8.layers`, or the integer layers of :mod:`qat8.runtime`.
+    :mod:`qat8.layers`, or the integer layers export and dq build.
     """
 
     def __init__(self, config: ModelConfig, *, quant_enabled: bool = False, seed: int = 0):
         rng = np.random.default_rng(seed)
         # one symmetric grid for every quantized layer, or none for FP32
         m = max_quant_value(config.bits) if quant_enabled else None
-        self._build(config, quant_enabled, {
-            name: _new_leaf(kind, shape, rng, m, config.ema_decay)
-            for name, kind, shape in layer_tree(config)})
+        self._build(config, {name: _new_leaf(kind, shape, rng, m, config.ema_decay)
+                             for name, kind, shape in layer_tree(config)})
 
     @classmethod
-    def from_layers(cls, config: ModelConfig, layers: dict, *, quant_enabled: bool = False):
+    def from_layers(cls, config: ModelConfig, layers: dict):
         """The model on leaves already built, keyed by :func:`layer_tree` name."""
         model = cls.__new__(cls)
-        model._build(config, quant_enabled, layers)
+        model._build(config, layers)
         return model
 
-    def _build(self, config, quant_enabled, layers):
+    def _build(self, config, layers):
         self.config = config
-        self.quant_enabled = quant_enabled
         # the leaves in layer_tree order, held by the tree below as well: its
         # walkers read them here rather than resolve each name's path
         self._leaves = {name: layers[name] for name, _, _ in layer_tree(config)}
@@ -126,6 +124,11 @@ class TransformerEncoderModel:
             self.blocks.append(EncoderBlock(attn, *leaves[4:]))
         self.classifier = layers["classifier"]
         self._batch_shape = None
+
+    @property
+    def quant_enabled(self) -> bool:
+        # every FC leaf has the one grid max m, which is None in an FP32 model
+        return self.classifier.m is not None
 
     # -- structure walkers ---------------------------------------------------
 

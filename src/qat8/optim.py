@@ -19,8 +19,8 @@ class Adam:
     """
 
     def __init__(self, params: dict[str, Parameter], lr: float = 1e-3):
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
+        if not 0.0 < lr < np.inf:  # NaN fails every comparison
+            raise ValueError(f"lr must be positive and finite, got {lr}")
         self.params = params
         self.lr = lr
         self.step_count = 0

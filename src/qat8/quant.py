@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import NonFiniteError
+
 
 class TrackerStateError(RuntimeError):
     """An activation-range tracker was used before observing any data."""
@@ -82,7 +84,7 @@ def _max_abs_scale(t, m: int) -> np.float32:
         raise ValueError("cannot derive a scale from an empty tensor")
     peak = float(np.max(np.abs(t)))
     if not np.isfinite(peak):
-        raise ValueError("tensor contains NaN or Inf")
+        raise NonFiniteError("tensor contains NaN or Inf")
     return _scale_for_peak(peak, m)
 
 
@@ -123,8 +125,10 @@ class EmaTracker:
 def ema_update(tracker: EmaTracker, batch_max: float) -> EmaTracker:
     """Fold one batch's max(|x|) into the tracker (mutates and returns it)."""
     batch_max = float(batch_max)
-    if not np.isfinite(batch_max) or batch_max < 0.0:
-        raise ValueError(f"batch max must be finite and >= 0, got {batch_max}")
+    if not np.isfinite(batch_max):
+        raise NonFiniteError(f"batch max must be finite, got {batch_max}")
+    if batch_max < 0.0:
+        raise ValueError(f"batch max must be >= 0, got {batch_max}")
     if not tracker.initialized:
         tracker.running_max = float(np.float32(batch_max))
         tracker.initialized = True

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# attention_mix and gelu_forward run in the shared forward of qat8.model, and
-# the frozen FC layer lives in qat8.layers, where the QAT layers run it in
-# eval; all stay importable from here, where perfbench/spans.py looks them up
-from .layers import (BIAS_WRAP, INT32_MAX, ExportError,  # noqa: F401
-                     QuantizedLinearFrozen, attention_mix, embedding_ids, freeze_linear,
-                     gelu_forward, int8_linear_infer, layer_norm_forward, linear_rows, peak)
-from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
+# perfbench/spans.py looks up attention_mix, gelu_forward, layer_norm_forward,
+# int8_linear_infer and QuantizedEmbeddingFrozen here; they live in
+# qat8.layers, where the shared forward and the QAT layers run them
+from .layers import (BIAS_WRAP, INT32_MAX, ExportError, LayerNorm,  # noqa: F401
+                     QuantizedEmbeddingFrozen, QuantizedLinearFrozen, attention_mix,
+                     freeze_embedding, freeze_linear, gelu_forward, int8_linear_infer,
+                     layer_norm_forward, linear_rows, peak)
+from .model import EMBEDDING, LINEAR, NORM, TransformerEncoderModel, layer_tree
 from .quant import dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import gemm_i8_i32
 
@@ -43,32 +44,6 @@ class DynamicQuantLinear:
         return dynamic_linear_infer(self, x)
 
 
-@dataclass
-class QuantizedEmbeddingFrozen:
-    """Int8 embedding table; rows are dequantized by the table scale on lookup."""
-
-    table_q: np.ndarray    # int8, [entries, dim]
-    scale: np.float32
-
-    def lookup(self, ids) -> np.ndarray:
-        ids = embedding_ids(ids, self.table_q.shape[0])
-        return self.table_q[ids].astype(np.float32) / np.float32(self.scale)
-
-    def forward(self, ids, training: bool = False) -> np.ndarray:
-        return self.lookup(ids)
-
-
-@dataclass
-class LayerNormFrozen:
-    """Layer-norm gain and bias, applied in FP32."""
-
-    gain: np.ndarray       # float32, [dim]
-    bias: np.ndarray       # float32, [dim]
-
-    def forward(self, x, training: bool = False) -> np.ndarray:
-        return layer_norm_forward(x, self.gain, self.bias)[0]
-
-
 def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
     """Int8 GEMM with the activation scale taken from the incoming tensor."""
     x2, lead = linear_rows(x, layer.weight_q.shape[1])
@@ -82,9 +57,6 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
 class _IntegerEncoder(TransformerEncoderModel):
     """The encoder on integer leaves, for inference only: its scales are
     fixed, and it keeps nothing for a backward pass."""
-
-    def __init__(self, config: ModelConfig, layers: dict):
-        self._build(config, True, layers)
 
     def forward(self, ids, training: bool = False) -> np.ndarray:
         if training:
@@ -113,11 +85,6 @@ class DynamicQuantModel(_IntegerEncoder):
     """Post-training model: Int8 weights, FP32 biases, per-tensor dynamic scales."""
 
 
-def _freeze_embedding(emb, m: int) -> QuantizedEmbeddingFrozen:
-    scale = weight_scale(emb.table.value, m)
-    return QuantizedEmbeddingFrozen(table_q=quantize(emb.table.value, scale, m), scale=scale)
-
-
 def _dynamic_linear(layer, m: int) -> DynamicQuantLinear:
     w = layer.weight.value
     s_w = weight_scale(w, m)
@@ -129,17 +96,17 @@ def _dynamic_linear(layer, m: int) -> DynamicQuantLinear:
     )
 
 
-def _copy_norm(norm, m: int) -> LayerNormFrozen:
-    return LayerNormFrozen(gain=norm.gain.value.copy(), bias=norm.bias.value.copy())
+def _copy_norm(norm, m: int) -> LayerNorm:
+    return LayerNorm(norm.gain.value.copy(), norm.bias.value.copy())
 
 
 def _convert(model: TransformerEncoderModel, model_cls, convert_linear):
     """Convert each layer of a training model by its kind."""
-    convert = {EMBEDDING: _freeze_embedding, NORM: _copy_norm, LINEAR: convert_linear}
+    convert = {EMBEDDING: freeze_embedding, NORM: _copy_norm, LINEAR: convert_linear}
     m = max_quant_value(model.config.bits)
     modules = dict(model.named_modules())
-    return model_cls(model.config, {name: convert[kind](modules[name], m)
-                                    for name, kind, _ in layer_tree(model.config)})
+    return model_cls.from_layers(model.config, {name: convert[kind](modules[name], m)
+                                                for name, kind, _ in layer_tree(model.config)})
 
 
 def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:

@@ -37,6 +37,10 @@ class CapacityError(ValueError):
     """Operand sizes exceed a documented kernel limit."""
 
 
+class NonFiniteError(ValueError):
+    """An operand holds NaN or Inf where only finite values are valid."""
+
+
 def _check_2d_pair(a: np.ndarray, b: np.ndarray) -> None:
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"gemm requires 2-D operands, got {a.shape} x {b.shape}")
@@ -56,7 +60,7 @@ def gemm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float32)
     _check_2d_pair(a, b)
     if not np.isfinite(a).all() or not np.isfinite(b).all():
-        raise ValueError("gemm_f32 operands must be finite")
+        raise NonFiniteError("gemm_f32 operands must be finite")
     return np.matmul(a, b)
 
 

@@ -8,10 +8,11 @@ import numpy as np
 
 from .model import TransformerEncoderModel
 from .optim import Adam
+from .tensor import NonFiniteError
 
 
 class TrainingDivergedError(RuntimeError):
-    """The loss became NaN/Inf during training."""
+    """Training met NaN/Inf: in the loss, the logits or a step's values."""
 
 
 class NonFiniteLogitsError(RuntimeError):
@@ -30,8 +31,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
+        if not 0.0 < self.lr < np.inf:  # NaN fails every comparison
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
 
 @dataclass
@@ -95,10 +96,10 @@ def accuracy_of(predict_fn, inputs, labels, batch_size: int = 256) -> float:
 
 
 def _training_accuracy(predict_fn, inputs, labels, batch_size) -> float:
-    """accuracy_of, where non-finite logits mean that training diverged."""
+    """accuracy_of, where non-finite values mean that training diverged."""
     try:
         return accuracy_of(predict_fn, inputs, labels, batch_size)
-    except NonFiniteLogitsError as exc:
+    except (NonFiniteLogitsError, NonFiniteError) as exc:
         raise TrainingDivergedError(str(exc)) from exc
 
 
@@ -141,13 +142,17 @@ def train(model: TransformerEncoderModel, inputs, labels,
         losses = []
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
-            logits = model.forward(inputs[idx], training=True)
-            loss, d_logits = softmax_cross_entropy(logits, labels[idx])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at step {len(losses)}")
-            model.zero_grads()
-            model.backward(d_logits)
-            optimizer.step()
+            try:
+                logits = model.forward(inputs[idx], training=True)
+                loss, d_logits = softmax_cross_entropy(logits, labels[idx])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss at step {len(losses)}")
+                model.zero_grads()
+                model.backward(d_logits)
+                optimizer.step()
+            except NonFiniteError as exc:
+                # a kernel met NaN/Inf that an earlier step's update produced
+                raise TrainingDivergedError(f"{exc} at step {len(losses)}") from exc
             losses.append(loss)
         epoch_acc = _training_accuracy(model.predict_logits, inputs, labels,
                                        config.batch_size)

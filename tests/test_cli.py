@@ -106,6 +106,20 @@ def test_size_report(tmp_path, capsys):
     assert "compression" in out
 
 
+@pytest.mark.parametrize("empty", ["--baseline", "--quantized"])
+def test_size_report_refuses_an_empty_file(tmp_path, capsys, empty):
+    model = _train(tmp_path, "fp32", "base.qat")
+    (tmp_path / "empty.qat").write_bytes(b"")
+    paths = {"--baseline": str(model), "--quantized": str(model),
+             empty: str(tmp_path / "empty.qat")}
+    capsys.readouterr()
+    rc = main(["size-report", *(a for pair in paths.items() for a in pair)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "empty.qat is empty" in captured.err
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     rc = main(["train", "--mode", "fp32", "--out", str(tmp_path / "x.qat"),
                "--set", "bogus=1"])
@@ -248,6 +262,25 @@ def test_exit_code_3_on_divergence(tmp_path, capsys, monkeypatch):
     rc = main(["train", "--mode", "fp32", "--out", str(tmp_path / "x.qat"), *FAST])
     assert rc == 3
     assert "diverged" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("mode,lr", [("fp32", "1e12"), ("qat", "1e38")])
+def test_exit_code_3_when_training_blows_up(tmp_path, capsys, mode, lr):
+    rc = main(["train", "--mode", mode, "--out", str(tmp_path / "x.qat"),
+               *FAST, "--set", "epochs=2", "--set", f"lr={lr}"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "diverged" in err and "Traceback" not in err
+    assert not (tmp_path / "x.qat").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_exit_code_2_on_non_finite_lr(tmp_path, capsys, lr):
+    rc = main(["train", "--mode", "fp32", "--out", str(tmp_path / "x.qat"),
+               *FAST, "--set", f"lr={lr}"])
+    assert rc == 2
+    assert "lr must be positive and finite" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

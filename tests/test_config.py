@@ -82,3 +82,12 @@ def test_run_sizes_must_be_positive(field, value):
         RunConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         load_config(overrides=[f"{field}={value}"])
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "0", "-1e-3"])
+def test_lr_must_be_positive_and_finite(lr):
+    # NaN compares False with everything, so `lr <= 0` alone lets it through
+    with pytest.raises(ValueError, match="lr"):
+        load_config(overrides=[f"lr={lr}"])
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=float(lr))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,16 +252,19 @@ def test_embedding_lookup_plain_and_quantized(rng):
     scale = weight_scale(emb_q.table.value)
     expected = dequantize(quantize(emb_q.table.value, scale), scale)[ids]
     np.testing.assert_array_equal(out, expected)
+    # training reads the same Int8 table: its rows are the fake-quantized ones
+    np.testing.assert_array_equal(emb_q.forward(ids, training=True), expected)
 
 
 def test_embedding_rejects_bad_ids(rng):
-    emb = embedding(rng, 10, 4)
-    with pytest.raises(IndexError):
-        emb.forward(np.array([[10]]))
-    with pytest.raises(IndexError):
-        emb.forward(np.array([[-1]]))
-    with pytest.raises(TypeError):
-        emb.forward(np.array([[1.5]]))
+    for m, training in itertools.product([None, 127], [False, True]):
+        emb = embedding(rng, 10, 4, m=m)
+        with pytest.raises(IndexError):
+            emb.forward(np.array([[10]]), training)
+        with pytest.raises(IndexError):
+            emb.forward(np.array([[-1]]), training)
+        with pytest.raises(TypeError):
+            emb.forward(np.array([[1.5]]), training)
 
 
 def test_embedding_backward_scatters_with_duplicates(rng):

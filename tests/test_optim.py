@@ -63,3 +63,10 @@ def test_rejects_bad_hyperparameters():
     p = Parameter(np.zeros(1, dtype=np.float32))
     with pytest.raises(ValueError):
         Adam({"p": p}, lr=-1.0)
+
+
+@pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+def test_rejects_lr_that_is_not_positive_and_finite(lr):
+    p = Parameter(np.zeros(1, dtype=np.float32))
+    with pytest.raises(ValueError, match="lr"):
+        Adam({"p": p}, lr=lr)

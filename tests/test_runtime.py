@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qat8.format import deserialize, serialize
 from qat8.model import ModelConfig, TransformerEncoderModel
@@ -162,6 +164,41 @@ def test_simulation_equals_frozen_at_any_batch_split(bits, seed):
     rows = np.concatenate([model.predict_logits(probe[i:i + 1]) for i in range(len(probe))])
     np.testing.assert_array_equal(rows, full)
     np.testing.assert_array_equal(full, export(model).predict_logits(probe))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(2, 8), num_heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       ffn_dim=st.integers(1, 12), num_layers=st.integers(1, 2),
+       seq_len=st.integers(1, 6), seed=st.integers(0, 3))
+def test_every_config_simulates_its_export_and_round_trips(bits, num_heads, head_dim, ffn_dim,
+                                                           num_layers, seq_len, seed):
+    config = ModelConfig(vocab_size=8, max_seq_len=seq_len, num_classes=2,
+                         dim=num_heads * head_dim, num_heads=num_heads, ffn_dim=ffn_dim,
+                         num_layers=num_layers, bits=bits)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, 8, size=(64, seq_len))
+    labels = (ids[:, 0] >= 4).astype(np.int64)
+    models = {}
+    for kind, quant_enabled in (("fp32", False), ("qat", True)):
+        models[kind] = TransformerEncoderModel(config, quant_enabled=quant_enabled, seed=seed)
+        train(models[kind], ids, labels, TrainConfig(epochs=1, batch_size=32, seed=seed))
+    models["frozen"] = export(models["qat"])
+    models["dq"] = dq_quantize(models["fp32"])
+
+    # the simulation is the exported model, whole-batch and row by row
+    probe = rng.integers(0, 8, size=(16, seq_len))
+    full = models["qat"].predict_logits(probe)
+    np.testing.assert_array_equal(full, models["frozen"].predict_logits(probe))
+    for i in range(len(probe)):
+        np.testing.assert_array_equal(models["qat"].predict_logits(probe[i:i + 1]), full[i:i + 1])
+        np.testing.assert_array_equal(models["frozen"].predict_logits(probe[i:i + 1]),
+                                      full[i:i + 1])
+    # every kind's bytes survive a load, and the loaded model scores the same
+    for kind, model in models.items():
+        data = serialize(model)
+        loaded = deserialize(data)
+        assert serialize(loaded) == data, kind
+        np.testing.assert_array_equal(loaded.predict_logits(probe), model.predict_logits(probe))
 
 
 def _write(model, write):

@@ -119,3 +119,23 @@ def test_master_weights_remain_fp32_after_qat_training():
     from qat8.quant import fake_quantize, weight_scale
     w = model.parameters()["classifier.weight"].value
     assert not np.array_equal(fake_quantize(w, weight_scale(w)), w)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("quant_enabled", [False, True], ids=["fp32", "qat"])
+def test_non_finite_values_inside_a_step_mean_divergence(quant_enabled):
+    # an absurd step size overflows the weights; the next step's kernels
+    # (gemm_f32, or the EMA tracker in QAT) meet NaN/Inf before the loss does
+    ids, labels = _toy_data()
+    model = TransformerEncoderModel(TINY, quant_enabled=quant_enabled, seed=0)
+    with pytest.raises(TrainingDivergedError, match="finite"):
+        train(model, ids, labels, TrainConfig(epochs=1, batch_size=16, lr=1e38, seed=0))
+
+
+def test_other_errors_inside_a_step_are_not_divergence():
+    # a label past num_classes passes the accuracy pass and fails in the loss
+    ids, labels = _toy_data(n=16)
+    labels[3] = TINY.num_classes
+    model = TransformerEncoderModel(TINY, seed=0)
+    with pytest.raises(IndexError):
+        train(model, ids, labels, TrainConfig(epochs=1, batch_size=16, seed=0))
