@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 bad configuration or input, 3 non-finite numbers
-(training diverged, or a model gave NaN/Inf logits), 4 unreadable or
-damaged artifact.
+(training diverged, or a model met NaN/Inf), 4 unreadable or damaged
+artifact.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .model import TransformerEncoderModel
 from .quant import TrackerStateError
 from .runtime import DynamicQuantModel, ExportError, QuantizedModelFrozen, dq_quantize, export
 from .task import percent_accuracy, run_comparison
-from .training import NonFiniteLogitsError, TrainingDivergedError, train
+from .tensor import NonFiniteError
+from .training import TrainingDivergedError, train
 
 
 def _write_json(path: str, payload: dict):
@@ -194,7 +195,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
-    except NonFiniteLogitsError as exc:
+    except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, ExportError, TrackerStateError) as exc:

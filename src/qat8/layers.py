@@ -218,7 +218,7 @@ def freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
         weight_q=quantize(w, s_w, m),
         weight_scale=s_w,
         input_scale=s_x,
-        bias_q=quantize(layer.bias.value, bias_scale, INT32_MAX).astype(np.int32),
+        bias_q=quantize(layer.bias.value, bias_scale, INT32_MAX),
         m=m,
     )
 

@@ -44,7 +44,9 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     The product runs in float64 so the rounding decision reflects the real
     product rather than a float32 intermediate. The final cast truncates
     toward zero; clipping before it gives the same integers as clipping
-    after, because the bounds are integers.
+    after, because the bounds are integers. An infinity saturates to -m or m
+    like any value past the grid; NaN, which has no integer, raises
+    :class:`NonFiniteError`.
     """
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
@@ -54,7 +56,12 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     v = np.multiply(x, scale, out=np.empty(np.shape(x)), dtype=np.float64)
     v += np.copysign(0.5, v)
     np.clip(v, -m, m, out=v)
-    return v.astype(_int_dtype_for(m))
+    # after the clip only NaN makes the cast invalid: the flag costs no pass
+    try:
+        with np.errstate(invalid="raise"):
+            return v.astype(_int_dtype_for(m))
+    except FloatingPointError:
+        raise NonFiniteError("quantize input contains NaN") from None
 
 
 def dequantize(q, scale: float) -> np.ndarray:

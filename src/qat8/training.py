@@ -15,7 +15,7 @@ class TrainingDivergedError(RuntimeError):
     """Training met NaN/Inf: in the loss, the logits or a step's values."""
 
 
-class NonFiniteLogitsError(RuntimeError):
+class NonFiniteLogitsError(NonFiniteError):
     """A model produced NaN/Inf logits, which no argmax can score."""
 
 
@@ -95,14 +95,6 @@ def accuracy_of(predict_fn, inputs, labels, batch_size: int = 256) -> float:
     return hits / len(inputs)
 
 
-def _training_accuracy(predict_fn, inputs, labels, batch_size) -> float:
-    """accuracy_of, where non-finite values mean that training diverged."""
-    try:
-        return accuracy_of(predict_fn, inputs, labels, batch_size)
-    except (NonFiniteLogitsError, NonFiniteError) as exc:
-        raise TrainingDivergedError(str(exc)) from exc
-
-
 def _initial_accuracy(model, inputs, labels, batch_size) -> float:
     # A quantized model that has never seen data cannot run in eval mode
     # (no activation statistics yet), so the pre-training measurement runs
@@ -114,7 +106,7 @@ def _initial_accuracy(model, inputs, labels, batch_size) -> float:
         predict = lambda x: model.forward(x, training=True)
     else:
         predict = model.predict_logits
-    return _training_accuracy(predict, inputs, labels, batch_size)
+    return accuracy_of(predict, inputs, labels, batch_size)
 
 
 def train(model: TransformerEncoderModel, inputs, labels,
@@ -122,7 +114,9 @@ def train(model: TransformerEncoderModel, inputs, labels,
     """Train in place; deterministic for a given config and seed.
 
     Shuffling uses its own generator seeded by ``config.seed`` so two models
-    trained with the same seed see identical batch orders.
+    trained with the same seed see identical batch orders. A NaN/Inf met
+    anywhere in the run (a :class:`NonFiniteError`) raises
+    :class:`TrainingDivergedError`, naming the optimizer steps taken so far.
     """
     inputs = np.asarray(inputs)
     labels = np.asarray(labels)
@@ -133,28 +127,27 @@ def train(model: TransformerEncoderModel, inputs, labels,
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(model.parameters(), lr=config.lr)
-    report = TrainReport(
-        initial_accuracy=_initial_accuracy(model, inputs, labels, config.batch_size)
-    )
-
-    for _ in range(config.epochs):
-        order = rng.permutation(len(inputs))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            idx = order[start:start + config.batch_size]
-            try:
+    step = 0
+    try:
+        report = TrainReport(
+            initial_accuracy=_initial_accuracy(model, inputs, labels, config.batch_size)
+        )
+        for _ in range(config.epochs):
+            order = rng.permutation(len(inputs))
+            losses = []
+            for start in range(0, len(order), config.batch_size):
+                idx = order[start:start + config.batch_size]
                 logits = model.forward(inputs[idx], training=True)
                 loss, d_logits = softmax_cross_entropy(logits, labels[idx])
                 if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss at step {len(losses)}")
+                    raise NonFiniteError("non-finite loss")
                 model.zero_grads()
                 model.backward(d_logits)
                 optimizer.step()
-            except NonFiniteError as exc:
-                # a kernel met NaN/Inf that an earlier step's update produced
-                raise TrainingDivergedError(f"{exc} at step {len(losses)}") from exc
-            losses.append(loss)
-        epoch_acc = _training_accuracy(model.predict_logits, inputs, labels,
-                                       config.batch_size)
-        report.epochs.append(EpochMetrics(float(np.mean(losses)), epoch_acc))
+                step += 1
+                losses.append(loss)
+            epoch_acc = accuracy_of(model.predict_logits, inputs, labels, config.batch_size)
+            report.epochs.append(EpochMetrics(float(np.mean(losses)), epoch_acc))
+    except NonFiniteError as exc:
+        raise TrainingDivergedError(f"{exc} at step {step}") from exc
     return report

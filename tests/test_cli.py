@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qat8.cli import main
+from qat8.format import load_artifact, save_artifact
 
 FAST = ["--set", "num_train=64", "--set", "num_eval=64", "--set", "epochs=1",
         "--set", "dim=8", "--set", "num_heads=2", "--set", "ffn_dim=16",
@@ -229,6 +230,21 @@ def test_exit_code_3_on_non_finite_logits(tmp_path, capsys):
     assert "non-finite logits" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_3_when_eval_meets_nan_inside_the_model(tmp_path, capsys):
+    path = _train(tmp_path, "qat", "qat.qat")
+    model = load_artifact(str(path))
+    for param in model.parameters().values():
+        param.value *= np.float32(1e20)
+    # finite, so the checkpoint loads; its attention scores overflow, the
+    # softmax makes them NaN, and the next Int8 layer's quantize refuses it
+    save_artifact(model, str(path))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "NaN" in err and "Traceback" not in err
+
+
 def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):
     model = _train(tmp_path, "qat", "qat.qat")
     frozen = tmp_path / "frozen.qat"
@@ -275,6 +291,18 @@ def test_exit_code_3_when_training_blows_up(tmp_path, capsys, mode, lr):
     assert not (tmp_path / "x.qat").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_3_when_qat_training_ends_on_nan_weights(tmp_path, capsys):
+    # one epoch of one step: no later step's EMA update can see the NaN, so
+    # the accuracy pass after the step must refuse it
+    rc = main(["train", "--mode", "qat", "--out", str(tmp_path / "x.qat"),
+               *FAST, "--set", "lr=1e20"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "diverged" in err and "at step 1" in err and "Traceback" not in err
+    assert not (tmp_path / "x.qat").exists()
+
+
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_exit_code_2_on_non_finite_lr(tmp_path, capsys, lr):
     rc = main(["train", "--mode", "fp32", "--out", str(tmp_path / "x.qat"),
@@ -289,6 +317,20 @@ def test_absurd_lr_never_exits_zero(tmp_path, capsys):
                *FAST, "--set", "lr=1e12"])
     # blown-up numerics must surface as diverged (3) or invalid values (2)
     assert rc in (2, 3)
+    capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_default_path_raises_no_runtime_warning(tmp_path, capsys):
+    # an invalid cast or an overflow on the normal path would fail here
+    checkpoints = {"export": _train(tmp_path, "qat", "qat.qat"),
+                   "dq": _train(tmp_path, "fp32", "base.qat")}
+    for method, source in checkpoints.items():
+        out = tmp_path / f"{method}.qat"
+        assert main(["quantize", "--model", str(source), "--method", method,
+                     "--out", str(out)]) == 0
+        for model in (source, out):
+            assert main(["eval", "--model", str(model), *FAST]) == 0
     capsys.readouterr()
 
 

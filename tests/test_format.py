@@ -41,6 +41,11 @@ def models():
     return _train_models(TINY)
 
 
+@pytest.fixture(scope="module")
+def models_bits4():
+    return _train_models(replace(TINY, bits=4))
+
+
 def _split(data):
     (header_len,) = struct.unpack("<I", data[5:9])
     header = json.loads(data[9:9 + header_len].decode())
@@ -54,6 +59,13 @@ def _rebuild(header, payload):
 
 KINDS = ["fp32", "qat", "frozen", "dq"]
 ITEMSIZE = {"f32": 4, "i8": 1, "i32": 4}
+
+
+@pytest.fixture(scope="module")
+def artifacts(models, models_bits4):
+    """Every kind's artifact at bits 8 and 4, keyed by (bits, kind)."""
+    return {(bits, kind): serialize(source[kind])
+            for bits, source in ((8, models), (4, models_bits4)) for kind in KINDS}
 
 
 @pytest.mark.parametrize("kind", ["fp32", "qat", "frozen", "dq"])
@@ -231,21 +243,13 @@ def test_rejects_int8_minus_128(models, kind):
         deserialize(_rebuild(header, bytes(mutated)))
 
 
-@pytest.fixture(scope="module")
-def int8_artifacts(models):
-    """The int8-frozen and int8-dynamic artifacts at bits 4 and 8."""
-    low = _train_models(replace(TINY, bits=4))
-    return {(bits, kind): serialize(source[kind]) for bits, source in ((4, low), (8, models))
-            for kind in ("frozen", "dq")}
-
-
 @pytest.mark.parametrize("tensor", ["classifier.weight_q", "token_emb.table_q"])
 @pytest.mark.parametrize("bits,value,loads", [
     (4, 7, True), (4, -7, True), (4, 8, False), (4, -8, False), (4, 100, False),
     (8, 127, True), (8, -127, True), (8, -128, False)])
 @pytest.mark.parametrize("kind", ["frozen", "dq"])
-def test_int8_payloads_must_lie_on_the_grid(int8_artifacts, kind, bits, value, loads, tensor):
-    header, _, payload = _split(int8_artifacts[bits, kind])
+def test_int8_payloads_must_lie_on_the_grid(artifacts, kind, bits, value, loads, tensor):
+    header, _, payload = _split(artifacts[bits, kind])
     entry = next(e for e in header["tensors"] if e["name"] == tensor)
     mutated = bytearray(payload)
     mutated[entry["offset"]] = value & 0xFF
@@ -434,11 +438,6 @@ JSON_VALUES = st.one_of(
         max_leaves=4))
 
 
-@pytest.fixture(scope="module")
-def artifacts(models):
-    return {kind: serialize(models[kind]) for kind in KINDS}
-
-
 def _load_or_reject(data):
     """Loading damaged bytes raises FormatError and nothing else; a model
     that does load serializes again."""
@@ -450,10 +449,11 @@ def _load_or_reject(data):
 
 
 @FUZZ
-@given(kind=st.sampled_from(KINDS), region=st.sampled_from(["prefix", "header", "payload"]),
+@given(bits=st.sampled_from([8, 4]), kind=st.sampled_from(KINDS),
+       region=st.sampled_from(["prefix", "header", "payload"]),
        truncate=st.booleans(), data=st.data())
-def test_fuzz_damaged_bytes(artifacts, kind, region, truncate, data):
-    blob = bytearray(artifacts[kind])
+def test_fuzz_damaged_bytes(artifacts, bits, kind, region, truncate, data):
+    blob = bytearray(artifacts[bits, kind])
     (header_len,) = struct.unpack("<I", blob[5:9])
     start, end = {"prefix": (0, 9), "header": (9, 9 + header_len),
                   "payload": (9 + header_len, len(blob))}[region]
@@ -485,9 +485,9 @@ def _paths_by_key(header):
 
 
 @FUZZ
-@given(kind=st.sampled_from(KINDS), data=st.data())
-def test_fuzz_header_values_of_other_types(artifacts, kind, data):
-    header, _, payload = _split(artifacts[kind])
+@given(bits=st.sampled_from([8, 4]), kind=st.sampled_from(KINDS), data=st.data())
+def test_fuzz_header_values_of_other_types(artifacts, bits, kind, data):
+    header, _, payload = _split(artifacts[bits, kind])
     path = data.draw(st.sampled_from(data.draw(st.sampled_from(_paths_by_key(header)))))
     value = data.draw(JSON_VALUES)
     if not path:

@@ -16,6 +16,7 @@ from qat8.quant import (
     quantize,
     weight_scale,
 )
+from qat8.tensor import NonFiniteError
 
 finite_f32 = st.floats(min_value=-100.0, max_value=100.0, width=32,
                        allow_nan=False, allow_infinity=False)
@@ -54,6 +55,13 @@ def test_quantize_clamps_to_symmetric_range():
     assert quantize(-100.0, 127.0) == -127  # never -128
     q = quantize(np.linspace(-10, 10, 1001), 127.0)
     assert q.min() == -127 and q.max() == 127
+
+
+@pytest.mark.parametrize("m", [127, 2**31 - 1], ids=["int8", "int32-bias"])
+def test_quantize_saturates_infinity_and_refuses_nan(m):
+    np.testing.assert_array_equal(quantize(np.array([np.inf, -np.inf]), 1.0, m), [m, -m])
+    with pytest.raises(NonFiniteError, match="NaN"):
+        quantize(np.array([0.5, np.nan]), 1.0, m)
 
 
 def test_quantize_dtype_by_range():

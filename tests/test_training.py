@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qat8.model import ModelConfig, TransformerEncoderModel
+from qat8.tensor import NonFiniteError
 from qat8.training import (
     NonFiniteLogitsError,
     TrainConfig,
@@ -130,6 +131,27 @@ def test_non_finite_values_inside_a_step_mean_divergence(quant_enabled):
     model = TransformerEncoderModel(TINY, quant_enabled=quant_enabled, seed=0)
     with pytest.raises(TrainingDivergedError, match="finite"):
         train(model, ids, labels, TrainConfig(epochs=1, batch_size=16, lr=1e38, seed=0))
+
+
+class _NanOnThirdStep(TransformerEncoderModel):
+    """Meets NaN in its third training-mode forward, that is, its third step."""
+
+    steps = 0
+
+    def forward(self, ids, training=False):
+        if training:
+            self.steps += 1
+            if self.steps == 3:
+                raise NonFiniteError("injected NaN")
+        return super().forward(ids, training)
+
+
+def test_divergence_names_the_step_counted_from_the_start_of_the_run():
+    # two steps an epoch: the third step is the first of epoch 2
+    ids, labels = _toy_data(n=32)
+    model = _NanOnThirdStep(TINY, seed=0)
+    with pytest.raises(TrainingDivergedError, match="^injected NaN at step 2$"):
+        train(model, ids, labels, TrainConfig(epochs=2, batch_size=16, seed=0))
 
 
 def test_other_errors_inside_a_step_are_not_divergence():
