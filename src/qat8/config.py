@@ -40,6 +40,8 @@ class RunConfig:
         for field in ("num_train", "num_eval", "eval_batch"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {','.join(map(str, self.seeds))}")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(

@@ -25,7 +25,7 @@ import numpy as np
 from .layers import (BIAS_WRAP, LayerNorm, Parameter, QuantizedEmbedding,
                      QuantizedEmbeddingFrozen, QuantizedLinear, QuantizedLinearFrozen)
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
-from .quant import EmaTracker, max_quant_value
+from .quant import F32_OVERFLOW, EmaTracker, max_quant_value
 from .runtime import DynamicQuantLinear, DynamicQuantModel, QuantizedModelFrozen
 
 MAGIC = b"QAT1"
@@ -262,11 +262,20 @@ def _check_grid(int8_tensors: dict, m: int):
                               f"the symmetric grid [-{m}, {m}] of the header's bits")
 
 
-def _input_scale(header, name) -> np.float32:
+def _input_scale(header, name, weight_scale) -> np.float32:
+    """A frozen FC's input scale; its product with the weight scale, the bias
+    scale the runtime divides by, must be positive and finite in float32."""
     input_scales = header.get("input_scales")
     if not isinstance(input_scales, dict) or not _is_scale(input_scales.get(name)):
         raise FormatError(f"artifact has no valid input scale for {name!r}")
-    return np.float32(input_scales[name])
+    scale = np.float32(input_scales[name])
+    # the float64 product of two float32s is exact, so this tests the one
+    # rounding to float32 that the runtime's product makes
+    product = float(scale) * float(weight_scale)
+    if not 2.0 ** -150 < product < F32_OVERFLOW:
+        raise FormatError(f"bias scale of {name!r}: input scale {scale} times weight scale "
+                          f"{weight_scale} is not positive and finite in float32")
+    return scale
 
 
 def _tracker(header, name) -> EmaTracker:
@@ -313,7 +322,7 @@ def _restore(header, payload, config, kind):
                     raise FormatError(f"tensor {tensor} has no scale")
                 fields[scale_field] = np.float32(entry["scale"])
         if layer_kind == LINEAR and kind == KIND_FROZEN:
-            fields["input_scale"] = _input_scale(header, name)
+            fields["input_scale"] = _input_scale(header, name, fields["weight_scale"])
         layers[name] = layer = layer_classes[layer_kind](**fields)
         if layer_kind == LINEAR and kind == KIND_QAT:
             layer.input_tracker = _tracker(header, name)

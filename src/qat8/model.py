@@ -147,6 +147,11 @@ class TransformerEncoderModel:
         return [(name, mod) for name, mod in self.named_modules()
                 if isinstance(mod, QuantizedLinear)]
 
+    def uncalibrated(self) -> list[str]:
+        """The quantizing FC layers whose activation tracker has seen no data."""
+        return [name for name, layer in self.named_qlinears()
+                if layer.m is not None and not layer.input_tracker.initialized]
+
     def zero_grads(self):
         for param in self.parameters().values():
             param.zero_grad()

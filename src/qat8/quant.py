@@ -74,13 +74,13 @@ def dequantize(q, scale: float) -> np.ndarray:
 
 # The smallest float64 that rounds to inf in float32: halfway between the
 # largest float32 and 2**128, where ties round up.
-_F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
+F32_OVERFLOW = 2.0 ** 128 - 2.0 ** 103
 
 
 def _scale_for_peak(peak: float, m: int) -> np.float32:
     """m / peak in FP32. A zero peak, or one so small that the scale is not
     finite, quantizes to zeros at any scale, so it gets scale 1.0."""
-    if peak == 0.0 or m / peak >= _F32_OVERFLOW:
+    if peak == 0.0 or m / peak >= F32_OVERFLOW:
         return np.float32(1.0)
     return np.float32(m / peak)
 

@@ -102,6 +102,9 @@ def _copy_norm(norm, m: int) -> LayerNorm:
 
 def _convert(model: TransformerEncoderModel, model_cls, convert_linear):
     """Convert each layer of a training model by its kind."""
+    if isinstance(model, _IntegerEncoder):
+        raise ExportError(f"{type(model).__name__} is already an integer model; "
+                          "export and dq convert a training model")
     convert = {EMBEDDING: freeze_embedding, NORM: _copy_norm, LINEAR: convert_linear}
     m = max_quant_value(model.config.bits)
     modules = dict(model.named_modules())
@@ -116,12 +119,10 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             "model was trained without quantization; integer export requires "
             "quantization-aware training (use the dynamic path instead)"
         )
-    uninitialized = [name for name, layer in model.named_qlinears()
-                     if not layer.input_tracker.initialized]
-    if uninitialized:
+    if uncalibrated := model.uncalibrated():
         raise ExportError(
             "model was never trained with quantization: no activation statistics "
-            f"for {', '.join(uninitialized)}"
+            f"for {', '.join(uncalibrated)}"
         )
     frozen = _convert(model, QuantizedModelFrozen, freeze_linear)
     wrapping = frozen.overflowing_layers()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import ModelConfig, TransformerEncoderModel
-from .runtime import dq_quantize, export
+from .runtime import dq_quantize
 from .training import TrainConfig, accuracy_of, train
 
 _MAX_COUNT = 6
@@ -68,6 +68,8 @@ class SyntheticTask:
             raise ValueError(f"seq_len must be at least {2 * _MAX_COUNT}")
         if self.vocab_size < 3:
             raise ValueError("need at least one filler token")
+        if self.seed < 0:  # a run config's data_seed
+            raise ValueError(f"data_seed must be >= 0, got {self.seed}")
 
     def generate(self, num_examples: int, seed: int | None = None):
         """Generate (inputs, labels); int64 tokens of shape (n, seq_len)."""
@@ -190,8 +192,8 @@ def run_comparison(model_config: ModelConfig, task: SyntheticTask,
                    train_config: TrainConfig, seeds, num_train: int,
                    num_eval: int, eval_batch: int = 256,
                    progress=None) -> ComparisonReport:
-    """Train baseline and QAT models per seed; evaluate FP32, frozen-integer,
-    and dynamically quantized variants on a shared eval split."""
+    """Train baseline and QAT models per seed; evaluate FP32, QAT (its eval
+    runs the exported Int8 layers) and DQ variants on a shared eval split."""
     if not seeds:
         raise ValueError("need at least one training seed")
     train_x, train_y, eval_x, eval_y = task.splits(num_train, num_eval)
@@ -208,8 +210,7 @@ def run_comparison(model_config: ModelConfig, task: SyntheticTask,
         qat_model = TransformerEncoderModel(model_config, quant_enabled=True,
                                             seed=seed)
         train(qat_model, train_x, train_y, cfg)
-        frozen = export(qat_model)
-        qat_accs.append(percent_accuracy(frozen, eval_x, eval_y, eval_batch))
+        qat_accs.append(percent_accuracy(qat_model, eval_x, eval_y, eval_batch))
 
         dq_model = dq_quantize(baseline)
         dq_accs.append(percent_accuracy(dq_model, eval_x, eval_y, eval_batch))

@@ -33,6 +33,8 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.lr < np.inf:  # NaN fails every comparison
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -99,10 +101,7 @@ def _initial_accuracy(model, inputs, labels, batch_size) -> float:
     # A quantized model that has never seen data cannot run in eval mode
     # (no activation statistics yet), so the pre-training measurement runs
     # the training-mode forward and doubles as EMA calibration.
-    needs_calibration = model.quant_enabled and any(
-        not layer.input_tracker.initialized for _, layer in model.named_qlinears()
-    )
-    if needs_calibration:
+    if model.uncalibrated():
         predict = lambda x: model.forward(x, training=True)
     else:
         predict = model.predict_logits

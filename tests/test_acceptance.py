@@ -256,6 +256,7 @@ def test_c6_compression_ratio():
         assert ratio <= 0.30
 
 
+@pytest.mark.slow
 def test_c7_end_to_end_comparison():
     with criterion("C7", "5-seed comparison: baseline ≥ 95%, QAT < 2% rel err, "
                    "DQ rel err > QAT rel err", 900.0):

@@ -56,13 +56,21 @@ def test_quantize_export_rejects_fp32_checkpoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_quantize_rejects_inference_artifact(tmp_path):
-    model = _train(tmp_path, "fp32", "base.qat")
-    dq = tmp_path / "dq.qat"
-    main(["quantize", "--model", str(model), "--method", "dq", "--out", str(dq)])
-    rc = main(["quantize", "--model", str(dq), "--method", "dq",
-               "--out", str(tmp_path / "y.qat")])
-    assert rc == 2
+def test_quantize_rejects_inference_artifact(tmp_path, capsys):
+    sources = {"export": _train(tmp_path, "qat", "qat.qat"),
+               "dq": _train(tmp_path, "fp32", "base.qat")}
+    for made_by, source in sources.items():
+        integer = tmp_path / f"{made_by}.qat"
+        assert main(["quantize", "--model", str(source), "--method", made_by,
+                     "--out", str(integer)]) == 0
+        for method in ("export", "dq"):
+            capsys.readouterr()
+            rc = main(["quantize", "--model", str(integer), "--method", method,
+                       "--out", str(tmp_path / "y.qat")])
+            assert rc == 2, (made_by, method)
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1 and "integer model" in err
+            assert "Traceback" not in err
 
 
 def test_eval_runs_on_frozen_artifact(tmp_path, capsys):
@@ -85,6 +93,12 @@ def test_compare_writes_deterministic_report(tmp_path, capsys):
     parsed = json.loads(out_a.read_text())
     assert [m["name"] for m in parsed["methods"]] == ["baseline", "qat", "dq"]
     assert "relative error" in capsys.readouterr().out
+
+
+def test_compare_refuses_a_negative_seed_before_training(tmp_path, capsys):
+    assert main(["compare", *FAST, "--set", "seeds=0,1,-1"]) == 2
+    out, err = capsys.readouterr()
+    assert "seed 0:" not in out and "seeds must be >= 0" in err
 
 
 def test_inspect_prints_header(tmp_path, capsys):
@@ -260,6 +274,30 @@ def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(frozen), *FAST]) == 4
     assert "Int32 bias" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("input_scale,weight_scale", [(1e-30, 1e-20), (1e30, 1e30)],
+                         ids=["underflow", "overflow"])
+def test_exit_code_4_on_a_bias_scale_past_float32(tmp_path, capsys, input_scale,
+                                                  weight_scale):
+    model = _train(tmp_path, "qat", "qat.qat")
+    frozen = tmp_path / "frozen.qat"
+    assert main(["quantize", "--model", str(model), "--method", "export",
+                 "--out", str(frozen)]) == 0
+    data = frozen.read_bytes()
+    header_len = int.from_bytes(data[5:9], "little")
+    header = json.loads(data[9:9 + header_len])
+    # each scale alone is a valid float32; their product is 0 or inf in float32
+    header["input_scales"]["blocks.0.fc_expand"] = input_scale
+    next(e for e in header["tensors"]
+         if e["name"] == "blocks.0.fc_expand.weight_q")["scale"] = weight_scale
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    frozen.write_bytes(data[:5] + len(blob).to_bytes(4, "little") + blob
+                       + data[9 + header_len:])
+    capsys.readouterr()
+    assert main(["eval", "--model", str(frozen), *FAST]) == 4
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "blocks.0.fc_expand" in err and "Traceback" not in err
 
 
 def test_exit_code_2_on_missing_file(tmp_path, capsys):

@@ -91,3 +91,19 @@ def test_lr_must_be_positive_and_finite(lr):
         load_config(overrides=[f"lr={lr}"])
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=float(lr))
+
+
+@pytest.mark.parametrize("override,key", [
+    ("seed=-1", "seed"), ("data_seed=-1", "data_seed"), ("seeds=0,1,-1", "seeds")])
+def test_negative_seeds_fail_at_load_naming_their_key(override, key):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
+        load_config(overrides=[override])
+
+
+def test_components_refuse_a_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="data_seed must be >= 0"):
+        SyntheticTask(seed=-1)
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        RunConfig(seeds=(0, -2))

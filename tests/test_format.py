@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 from dataclasses import replace
 
@@ -17,6 +19,7 @@ from qat8.format import (
     serialize,
 )
 from qat8.model import ModelConfig, TransformerEncoderModel
+from qat8.quant import max_quant_value
 from qat8.runtime import dq_quantize, export
 from qat8.training import TrainConfig, train
 
@@ -261,6 +264,34 @@ def test_int8_payloads_must_lie_on_the_grid(artifacts, kind, bits, value, loads,
             deserialize(data)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(bits=st.integers(2, 8), num_heads=st.integers(1, 3), head_dim=st.integers(1, 4),
+       ffn_dim=st.integers(1, 12), num_layers=st.integers(1, 2), data=st.data())
+def test_every_config_checks_its_int8_grid(bits, num_heads, head_dim, ffn_dim, num_layers,
+                                           data):
+    config = replace(TINY, dim=num_heads * head_dim, num_heads=num_heads, ffn_dim=ffn_dim,
+                     num_layers=num_layers, bits=bits)
+    models = _train_models(config)
+    m = max_quant_value(bits)
+    for kind in ("frozen", "dq"):
+        header, _, payload = _split(serialize(models[kind]))
+        entry = data.draw(st.sampled_from([e for e in header["tensors"] if e["dtype"] == "i8"]))
+        at = entry["offset"] + data.draw(st.integers(0, math.prod(entry["shape"]) - 1))
+
+        def write(value):
+            mutated = bytearray(payload)
+            mutated[at] = value & 0xFF
+            return _rebuild(header, bytes(mutated))
+
+        # one step past the grid; at 8 bits only -128 is an Int8 value past it
+        off = data.draw(st.sampled_from([-m - 1] if bits == 8 else [m + 1, -m - 1]))
+        message = re.escape(f"{entry['name']} contains {off}, off the")
+        with pytest.raises(FormatError, match=message):
+            deserialize(write(off))
+        edge = write(data.draw(st.sampled_from([m, -m])))
+        assert serialize(deserialize(edge)) == edge
+
+
 def test_rejects_int32_bias_that_could_wrap(models):
     header, _, payload = _split(serialize(models["frozen"]))
     entry = next(e for e in header["tensors"] if e["name"] == "classifier.bias_q")
@@ -268,6 +299,19 @@ def test_rejects_int32_bias_that_could_wrap(models):
     mutated[entry["offset"]:entry["offset"] + 4] = struct.pack("<i", 2**31 - 1)
     with pytest.raises(FormatError, match="classifier"):
         deserialize(_rebuild(header, bytes(mutated)))
+
+
+@pytest.mark.parametrize("input_scale,weight_scale", [(1e-30, 1e-20), (1e30, 1e30)],
+                         ids=["underflow", "overflow"])
+def test_rejects_a_bias_scale_past_float32(models, input_scale, weight_scale):
+    # each scale alone is a valid float32, but the runtime divides by their
+    # float32 product, which is 0 or inf
+    header, _, payload = _split(serialize(models["frozen"]))
+    header["input_scales"]["blocks.0.fc_expand"] = input_scale
+    next(e for e in header["tensors"]
+         if e["name"] == "blocks.0.fc_expand.weight_q")["scale"] = weight_scale
+    with pytest.raises(FormatError, match="bias scale of 'blocks.0.fc_expand'"):
+        deserialize(_rebuild(header, payload))
 
 
 def test_rejects_unknown_kind(models):

@@ -289,6 +289,13 @@ def test_int32_accumulator_bound_is_exact(four_kinds, name, index):
     assert frozen.overflowing_layers() == [name]
 
 
+@pytest.mark.parametrize("convert", [export, dq_quantize], ids=["export", "dq"])
+@pytest.mark.parametrize("kind", ["frozen", "dq"])
+def test_an_integer_model_is_not_converted_again(four_kinds, kind, convert):
+    with pytest.raises(ExportError, match="already an integer model"):
+        convert(four_kinds[kind])
+
+
 def test_export_is_deterministic():
     model, ids, _ = _trained_qat_model()
     a = export(model)
