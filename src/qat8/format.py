@@ -23,7 +23,8 @@ import struct
 import numpy as np
 
 from .layers import (BIAS_WRAP, LayerNorm, Parameter, QuantizedEmbedding,
-                     QuantizedEmbeddingFrozen, QuantizedLinear, QuantizedLinearFrozen)
+                     QuantizedEmbeddingFrozen, QuantizedLinear, QuantizedLinearFrozen,
+                     over_limit)
 from .model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel, layer_tree
 from .quant import F32_OVERFLOW, EmaTracker, max_quant_value
 from .runtime import DynamicQuantLinear, DynamicQuantModel, QuantizedModelFrozen
@@ -38,35 +39,28 @@ KIND_DYNAMIC = "int8-dynamic"
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
 
-# The tensor schema: for each artifact kind and layer kind, the tensors a
-# layer stores, as (suffix, dtype, rank, scale field). A tensor is named
-# "<layer name>.<suffix>" and is read from, or restored to, the layer field
-# of that name. Its shape is the first `rank` dimensions of the layer's
-# shape in layer_tree. A scale field names the layer field stored as the
-# tensor's `scale`. docs/format.md has the same table.
-_NORM = (("gain", "f32", 1, None), ("bias", "f32", 1, None))
-_TRAINING = {EMBEDDING: (("table", "f32", 2, None),), NORM: _NORM,
-             LINEAR: (("weight", "f32", 2, None), ("bias", "f32", 1, None))}
-_INT8_EMBEDDING = (("table_q", "i8", 2, "scale"),)
+# The schema, one entry per artifact kind: the model class, and for each
+# layer kind the leaf class and the tensors it stores, as (suffix, dtype,
+# rank, scale field). A tensor is named "<layer name>.<suffix>" and is read
+# from, or restored to, the leaf field of that name. Its shape is the first
+# `rank` dimensions of the layer's shape in layer_tree. A scale field names
+# the leaf field stored as the tensor's `scale`. docs/format.md has the
+# same table.
+_NORM = (LayerNorm, (("gain", "f32", 1, None), ("bias", "f32", 1, None)))
+_TRAINING = (TransformerEncoderModel, {
+    EMBEDDING: (QuantizedEmbedding, (("table", "f32", 2, None),)), NORM: _NORM,
+    LINEAR: (QuantizedLinear, (("weight", "f32", 2, None), ("bias", "f32", 1, None)))})
+_INT8_EMBEDDING = (QuantizedEmbeddingFrozen, (("table_q", "i8", 2, "scale"),))
 _INT8_WEIGHT = ("weight_q", "i8", 2, "weight_scale")
 SCHEMA = {
     KIND_FP32: _TRAINING,
     KIND_QAT: _TRAINING,
-    KIND_FROZEN: {EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
-                  LINEAR: (_INT8_WEIGHT, ("bias_q", "i32", 1, None))},
-    KIND_DYNAMIC: {EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
-                   LINEAR: (_INT8_WEIGHT, ("bias", "f32", 1, None))},
-}
-
-# per artifact kind, the model class, and the layer class per layer kind
-_TRAINING_LAYERS = {EMBEDDING: QuantizedEmbedding, NORM: LayerNorm, LINEAR: QuantizedLinear}
-_CLASSES = {
-    KIND_FP32: (TransformerEncoderModel, _TRAINING_LAYERS),
-    KIND_QAT: (TransformerEncoderModel, _TRAINING_LAYERS),
-    KIND_FROZEN: (QuantizedModelFrozen, {EMBEDDING: QuantizedEmbeddingFrozen,
-                                         NORM: LayerNorm, LINEAR: QuantizedLinearFrozen}),
-    KIND_DYNAMIC: (DynamicQuantModel, {EMBEDDING: QuantizedEmbeddingFrozen,
-                                       NORM: LayerNorm, LINEAR: DynamicQuantLinear}),
+    KIND_FROZEN: (QuantizedModelFrozen, {
+        EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
+        LINEAR: (QuantizedLinearFrozen, (_INT8_WEIGHT, ("bias_q", "i32", 1, None)))}),
+    KIND_DYNAMIC: (DynamicQuantModel, {
+        EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
+        LINEAR: (DynamicQuantLinear, (_INT8_WEIGHT, ("bias", "f32", 1, None)))}),
 }
 
 
@@ -115,10 +109,11 @@ def serialize(model) -> bytes:
     """Serialize a model to deterministic artifact bytes."""
     kind = artifact_kind(model)
     modules = dict(model.named_modules())
+    _, leaves = SCHEMA[kind]
     tensors, extra = {}, {}
     for name, layer_kind, _ in layer_tree(model.config):
-        layer = modules[name]
-        for suffix, dtype, _, scale_field in SCHEMA[kind][layer_kind]:
+        layer, (_, stored) = modules[name], leaves[layer_kind]
+        for suffix, dtype, _, scale_field in stored:
             array = getattr(layer, suffix)
             if isinstance(array, Parameter):
                 array = array.value
@@ -247,19 +242,14 @@ def _read_tensor(entry, payload) -> np.ndarray:
 
 
 def _check_grid(int8_tensors: dict, m: int):
-    """Every i8 tensor must lie on the symmetric grid [-m, m]: quantization
-    never leaves it, and the Int32 bound max|bias_q| + K*m^2 holds only for
-    weights on it. One pass over all of them settles the usual case."""
-    if not int8_tensors:
-        return
-    values = np.concatenate([array.ravel() for array in int8_tensors.values()])
-    if values.min() >= -m and values.max() <= m:
-        return
-    for name, array in int8_tensors.items():
-        low, high = array.min(), array.max()
-        if low < -m or high > m:
-            raise FormatError(f"tensor {name} contains {low if low < -m else high}, off "
-                              f"the symmetric grid [-{m}, {m}] of the header's bits")
+    """Every i8 tensor must lie on the symmetric grid [-m, m], so have
+    max|q| <= m: quantization never leaves it, and the Int32 bound
+    max|bias_q| + K*m^2 holds only for weights on it."""
+    off = over_limit((name, q, m) for name, q in int8_tensors.items())
+    if off:
+        low, high = int8_tensors[off[0]].min(), int8_tensors[off[0]].max()
+        raise FormatError(f"tensor {off[0]} contains {low if low < -m else high}, off "
+                          f"the symmetric grid [-{m}, {m}] of the header's bits")
 
 
 def _input_scale(header, name, weight_scale) -> np.float32:
@@ -298,7 +288,7 @@ def _restore(header, payload, config, kind):
     from its layers. The directory must list exactly the tensors that the
     schema and the config imply, with their dtypes and shapes."""
     entries = {entry["name"]: entry for entry in header["tensors"]}
-    model_cls, layer_classes = _CLASSES[kind]
+    model_cls, leaves = SCHEMA[kind]
     m = None if kind == KIND_FP32 else max_quant_value(config.bits)
     # what a layer takes besides its tensors, by layer kind
     extra = ({EMBEDDING: {"m": m}, NORM: {}, LINEAR: {"m": m, "ema_decay": config.ema_decay}}
@@ -306,7 +296,8 @@ def _restore(header, payload, config, kind):
     layers, int8_tensors = {}, {}
     for name, layer_kind, shape in layer_tree(config):
         fields = dict(extra[layer_kind])
-        for suffix, dtype, rank, scale_field in SCHEMA[kind][layer_kind]:
+        leaf_cls, stored = leaves[layer_kind]
+        for suffix, dtype, rank, scale_field in stored:
             tensor, implied = f"{name}.{suffix}", list(shape[:rank])
             entry = entries.pop(tensor, None)
             if entry is None:
@@ -323,7 +314,7 @@ def _restore(header, payload, config, kind):
                 fields[scale_field] = np.float32(entry["scale"])
         if layer_kind == LINEAR and kind == KIND_FROZEN:
             fields["input_scale"] = _input_scale(header, name, fields["weight_scale"])
-        layers[name] = layer = layer_classes[layer_kind](**fields)
+        layers[name] = layer = leaf_cls(**fields)
         if layer_kind == LINEAR and kind == KIND_QAT:
             layer.input_tracker = _tracker(header, name)
     if entries:

@@ -11,7 +11,8 @@ exported model's bits. Softmax, layer norm and GELU are plain FP32 and have
 no quantized variants; the integer models hold the same :class:`LayerNorm`.
 
 A leaf layer takes its tensors and reads its sizes from their shapes; the
-attention and encoder-block containers take their leaves.
+attention and encoder-block containers take their leaves. Each backward
+reads what its training forward kept through :func:`kept_for_backward`.
 """
 
 from __future__ import annotations
@@ -156,11 +157,7 @@ BIAS_WRAP = ("Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1, "
 
 class AccumulatorWrapError(ExportError):
     """An FC layer's Int32 bias leaves its accumulator room to wrap; the
-    model that holds the layer names it."""
-
-    def __init__(self, layer):
-        super().__init__(BIAS_WRAP)
-        self.layer = layer
+    model that holds the layer names every such layer."""
 
 
 @dataclass
@@ -202,8 +199,29 @@ def int8_linear_infer(layer: QuantizedLinearFrozen, x) -> np.ndarray:
 
 
 def peak(q) -> int:
-    """max |q| of an integer array, exact even for -2**31."""
-    return int(np.abs(q, dtype=np.int64).max())
+    """max |q| of an integer array, exact even at its dtype's minimum."""
+    return max(int(q.max()), -int(q.min()))
+
+
+def over_limit(arrays) -> list[str]:
+    """The names of the integer arrays whose max|value| exceeds their limit,
+    given (name, array, limit) triples, in their order. One pass over all
+    the arrays against the tightest limit settles the usual case at a
+    fraction of the cost of one pass per array."""
+    arrays = list(arrays)
+    if not arrays:
+        return []
+    tightest = min(limit for _, _, limit in arrays)
+    if peak(np.concatenate([q.ravel() for _, q, _ in arrays])) <= tightest:
+        return []
+    return [name for name, q, limit in arrays if peak(q) > limit]
+
+
+def kept_for_backward(cache):
+    """What a training forward kept for backward; it raises if none ran."""
+    if cache is None:
+        raise RuntimeError("backward called before forward(training=True)")
+    return cache
 
 
 def freeze_linear(layer, m: int) -> QuantizedLinearFrozen:
@@ -290,7 +308,7 @@ class QuantizedLinear(_Freezable):
     def _freeze(self) -> QuantizedLinearFrozen:
         frozen = freeze_linear(self, self.m)
         if peak(frozen.bias_q) > frozen.accumulator_headroom():
-            raise AccumulatorWrapError(self)
+            raise AccumulatorWrapError(BIAS_WRAP)
         return frozen
 
     def forward(self, x, training: bool = False) -> np.ndarray:
@@ -321,9 +339,7 @@ class QuantizedLinear(_Freezable):
         grad_x uses the fake-quantized weight, grad_weight the fake-quantized
         input (both cached from forward); grad_bias is the upstream column sum.
         """
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        x_used, w_used, lead = self._cache
+        x_used, w_used, lead = kept_for_backward(self._cache)
         up2 = np.asarray(upstream, dtype=np.float32).reshape(-1, self.out_features)
         grad_x = gemm_f32(up2, w_used)
         self.weight.grad += gemm_f32(up2.T, x_used)
@@ -366,9 +382,7 @@ class QuantizedEmbedding(_Freezable):
 
     def backward(self, upstream) -> None:
         """Scatter upstream gradients into the FP32 table (STE through rows)."""
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        ids = self._cache
+        ids = kept_for_backward(self._cache)
         up = np.asarray(upstream, dtype=np.float32)
         np.add.at(self.table.grad, ids.reshape(-1), up.reshape(-1, self.dim))
 
@@ -389,11 +403,8 @@ class LayerNorm:
         return y
 
     def backward(self, upstream) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
         grad_x, grad_gain, grad_bias = layer_norm_backward(
-            upstream, self.gain.value, self._cache
-        )
+            upstream, self.gain.value, kept_for_backward(self._cache))
         self.gain.grad += grad_gain
         self.bias.grad += grad_bias
         return grad_x
@@ -428,16 +439,7 @@ def attention_mix(q, k, v, num_heads: int):
     return merge_heads(ctx), probs
 
 
-class _Container:
-    """A layer made of sublayers; its parameters are theirs, in the order the
-    sublayers were assigned, prefixed by the attribute name."""
-
-    def named_params(self):
-        return [(f"{name}.{p}", param) for name, layer in vars(self).items()
-                if hasattr(layer, "named_params") for p, param in layer.named_params()]
-
-
-class MultiHeadAttention(_Container):
+class MultiHeadAttention:
     """Self-attention over q/k/v/output projections: any linear layers, such
     as quantization-capable ones or the Int8 ones of an integer model."""
 
@@ -461,9 +463,7 @@ class MultiHeadAttention(_Container):
         return self.out_proj.forward(ctx, training)
 
     def backward(self, upstream) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        q, k, v, probs = self._cache
+        q, k, v, probs = kept_for_backward(self._cache)
         q, k, v = (split_heads(t, self.num_heads) for t in (q, k, v))
         inv = 1.0 / math.sqrt(q.shape[-1])
         d_ctx = split_heads(self.out_proj.backward(upstream), self.num_heads)
@@ -478,7 +478,7 @@ class MultiHeadAttention(_Container):
         return grad_x
 
 
-class EncoderBlock(_Container):
+class EncoderBlock:
     """Post-norm transformer encoder block: attention and GELU feed-forward."""
 
     def __init__(self, attn, norm_attn, fc_expand, fc_reduce, norm_ffn):
@@ -499,11 +499,10 @@ class EncoderBlock(_Container):
         return self.norm_ffn.forward(h + self.fc_reduce.forward(act, training), training)
 
     def backward(self, upstream) -> np.ndarray:
-        if self._ffn_pre is None:
-            raise RuntimeError("backward called before forward(training=True)")
+        ffn_pre = kept_for_backward(self._ffn_pre)
         d_sum = self.norm_ffn.backward(upstream)
         d_gelu = self.fc_reduce.backward(d_sum)
-        d_pre = gelu_backward(d_gelu, self._ffn_pre)
+        d_pre = gelu_backward(d_gelu, ffn_pre)
         d_h = d_sum + self.fc_expand.backward(d_pre)
         d_res = self.norm_attn.backward(d_h)
         return d_res + self.attn.backward(d_res)

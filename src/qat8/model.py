@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import (AccumulatorWrapError, EncoderBlock, ExportError, LayerNorm,
-                     MultiHeadAttention, Parameter, QuantizedEmbedding, QuantizedLinear)
+                     MultiHeadAttention, Parameter, QuantizedEmbedding, QuantizedLinear,
+                     freeze_linear, kept_for_backward, over_limit)
 from .quant import max_quant_value
 from .tensor import ShapeError
 
@@ -173,18 +174,18 @@ class TransformerEncoderModel:
                 x = block.forward(x, training)
             logits = self.classifier.forward(x[:, 0, :], training)
         except AccumulatorWrapError as exc:
-            # a QAT layer in eval refuses the Int32 bias export refuses; it
-            # does not know its name, the model does
-            names = [name for name, leaf in self.named_modules() if leaf is exc.layer]
+            # a QAT layer in eval refuses the Int32 bias export refuses: name
+            # every such layer, by the scan export runs on the same Int8 layers
+            fcs = [(name, freeze_linear(fc, fc.m)) for name, fc in self.named_qlinears()
+                   if fc.input_tracker.initialized]
+            names = over_limit((name, fc.bias_q, fc.accumulator_headroom()) for name, fc in fcs)
             raise ExportError(f"{exc}, in {', '.join(names)}") from None
         if training:
             self._batch_shape = ids.shape
         return logits
 
     def backward(self, d_logits) -> None:
-        if self._batch_shape is None:
-            raise RuntimeError("backward called before forward(training=True)")
-        batch, seq = self._batch_shape
+        batch, seq = kept_for_backward(self._batch_shape)
         d_cls = self.classifier.backward(d_logits)
         d_x = np.zeros((batch, seq, self.config.dim), dtype=np.float32)
         d_x[:, 0, :] = d_cls

@@ -25,7 +25,7 @@ import numpy as np
 from .layers import (BIAS_WRAP, INT32_MAX, ExportError, LayerNorm,  # noqa: F401
                      QuantizedEmbeddingFrozen, QuantizedLinearFrozen, attention_mix,
                      freeze_embedding, freeze_linear, gelu_forward, int8_linear_infer,
-                     layer_norm_forward, linear_rows, peak)
+                     layer_norm_forward, linear_rows, over_limit)
 from .model import EMBEDDING, LINEAR, NORM, TransformerEncoderModel, layer_tree
 from .quant import dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import gemm_i8_i32
@@ -70,15 +70,9 @@ class QuantizedModelFrozen(_IntegerEncoder):
     def overflowing_layers(self) -> list[str]:
         """The FC layers whose Int32 accumulator can wrap on some input: those
         whose max|bias_q| exceeds their accumulator headroom."""
-        fcs = {name: layer for name, layer in self.named_modules()
-               if isinstance(layer, QuantizedLinearFrozen)}
-        headroom = {name: layer.accumulator_headroom() for name, layer in fcs.items()}
-        # one pass over all the biases against the tightest headroom settles
-        # the usual case at a fraction of the cost of one pass per layer
-        biases = np.concatenate([layer.bias_q for layer in fcs.values()])
-        if peak(biases) <= min(headroom.values()):
-            return []
-        return [name for name, layer in fcs.items() if peak(layer.bias_q) > headroom[name]]
+        return over_limit((name, fc.bias_q, fc.accumulator_headroom())
+                          for name, fc in self.named_modules()
+                          if isinstance(fc, QuantizedLinearFrozen))
 
 
 class DynamicQuantModel(_IntegerEncoder):

@@ -44,6 +44,16 @@ def sample_coords(rng, shape, count):
     return [np.unravel_index(i, shape) for i in flat]
 
 
+def named_params(layer):
+    """A layer's parameters by name. A leaf lists its own; an attention or
+    encoder-block container lists its sublayers', in the order they were
+    assigned, prefixed by the attribute name."""
+    if hasattr(layer, "named_params"):
+        return layer.named_params()
+    return [(f"{name}.{p}", param) for name, sub in vars(layer).items()
+            if hasattr(sub, "forward") for p, param in named_params(sub)]
+
+
 def check_param_grads(forward_fn, backward_fn, named_params, rng, *,
                       out_shape, coords_per_tensor=6, h=1e-2):
     """One analytic backward pass vs central differences.

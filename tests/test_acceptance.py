@@ -18,6 +18,7 @@ from gradcheck import (
     encoder_block,
     layer_norm,
     linear,
+    named_params,
     relative_l2,
 )
 from qat8.config import RunConfig
@@ -131,23 +132,23 @@ def test_c3_gradient_checks():
                 x, rng, out_shape=x.shape, coords=4))
 
             attn = attention(rng, dim, heads)
-            for _, p in attn.named_params():
+            for _, p in named_params(attn):
                 p.value = (rng.normal(size=p.value.shape) * 0.4).astype(np.float32)
             overall, _ = check_param_grads(
                 lambda training: attn.forward(x, training), attn.backward,
-                attn.named_params(), rng, out_shape=x.shape, coords_per_tensor=3)
+                named_params(attn), rng, out_shape=x.shape, coords_per_tensor=3)
             record("attention", overall)
             record("attention.input", check_input_grad(
                 lambda training: attn.forward(x, training), attn.backward,
                 x, rng, out_shape=x.shape, coords=4))
 
             block = encoder_block(rng, dim, heads, ffn)
-            for _, p in block.named_params():
+            for _, p in named_params(block):
                 if p.value.ndim == 2:
                     p.value = (rng.normal(size=p.value.shape) * 0.4).astype(np.float32)
             overall, _ = check_param_grads(
                 lambda training: block.forward(x, training), block.backward,
-                block.named_params(), rng, out_shape=x.shape, coords_per_tensor=3)
+                named_params(block), rng, out_shape=x.shape, coords_per_tensor=3)
             record("encoder_block", overall)
 
         # whole-model check (fewer cases; it is a composition of the above)

@@ -259,6 +259,23 @@ def test_exit_code_3_when_eval_meets_nan_inside_the_model(tmp_path, capsys):
     assert err.count("error:") == 1 and "NaN" in err and "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_3_when_dq_eval_meets_a_non_finite_activation(tmp_path, capsys):
+    base = _train(tmp_path, "fp32", "base.qat")
+    path = tmp_path / "dq.qat"
+    assert main(["quantize", "--model", str(base), "--method", "dq", "--out", str(path)]) == 0
+    model = load_artifact(str(path))
+    # finite, so the artifact loads; the embedding norm's output overflows
+    # FP32, and the first FC's dynamic scale refuses it
+    model.emb_norm.gain.value[:] = 3e38
+    save_artifact(model, str(path))
+    capsys.readouterr()
+    assert main(["eval", "--model", str(path), *FAST]) == 3
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "error: tensor contains NaN or Inf\n" in err
+    assert "Traceback" not in err
+
+
 def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):
     model = _train(tmp_path, "qat", "qat.qat")
     frozen = tmp_path / "frozen.qat"

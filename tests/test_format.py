@@ -542,3 +542,17 @@ def test_fuzz_header_values_of_other_types(artifacts, bits, kind, data):
             parent = parent[key]
         parent[path[-1]] = value
     _load_or_reject(_rebuild(header, payload))
+
+
+@pytest.mark.parametrize("tensor", ["token_emb.table_q", "blocks.0.fc_expand.weight_q"])
+@pytest.mark.parametrize("kind", ["frozen", "dq"])
+def test_rejects_an_int8_tensor_without_its_scale(models, kind, tensor):
+    header, _, payload = _split(serialize(models[kind]))
+    del next(e for e in header["tensors"] if e["name"] == tensor)["scale"]
+    with pytest.raises(FormatError, match=f"^tensor {re.escape(tensor)} has no scale$"):
+        deserialize(_rebuild(header, payload))
+
+
+def test_serialize_refuses_what_is_not_a_model():
+    with pytest.raises(TypeError, match="^cannot serialize object of type dict$"):
+        serialize({})

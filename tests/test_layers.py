@@ -9,7 +9,9 @@ from gradcheck import (
     check_param_grads,
     embedding,
     encoder_block,
+    layer_norm,
     linear,
+    named_params,
     relative_l2,
 )
 from qat8.layers import (
@@ -160,7 +162,7 @@ def test_linear_rejects_wrong_last_dim(rng):
 def test_linear_backward_requires_training_forward(rng):
     fc = linear(rng, 3, 2)
     fc.forward(np.zeros((1, 3), np.float32), training=False)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"^backward called before forward\(training=True\)$"):
         fc.backward(np.zeros((1, 2), np.float32))
 
 
@@ -321,11 +323,11 @@ def test_attention_mix_matches_layer_internals(rng):
 
 def test_attention_gradients(rng):
     layer = attention(rng, 8, 2)
-    for _, p in layer.named_params():
+    for _, p in named_params(layer):
         p.value = (rng.normal(size=p.value.shape) * 0.3).astype(np.float32)
     x = rng.normal(size=(2, 4, 8)).astype(np.float32)
     overall, errs = check_param_grads(lambda training: layer.forward(x, training),
-                                      layer.backward, layer.named_params(), rng,
+                                      layer.backward, named_params(layer), rng,
                                       out_shape=(2, 4, 8))
     assert overall < TOL, errs
     err = check_input_grad(lambda training: layer.forward(x, training),
@@ -335,12 +337,12 @@ def test_attention_gradients(rng):
 
 def test_encoder_block_gradients(rng):
     block = encoder_block(rng, 8, 2, 16)
-    for _, p in block.named_params():
+    for _, p in named_params(block):
         if p.value.ndim == 2:
             p.value = (rng.normal(size=p.value.shape) * 0.3).astype(np.float32)
     x = rng.normal(size=(2, 4, 8)).astype(np.float32)
     overall, errs = check_param_grads(lambda training: block.forward(x, training),
-                                      block.backward, block.named_params(), rng,
+                                      block.backward, named_params(block), rng,
                                       out_shape=(2, 4, 8))
     assert overall < TOL, errs
     err = check_input_grad(lambda training: block.forward(x, training),
@@ -350,5 +352,17 @@ def test_encoder_block_gradients(rng):
 
 def test_encoder_block_backward_requires_forward(rng):
     block = encoder_block(rng, 8, 2, 16)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match=r"^backward called before forward\(training=True\)$"):
         block.backward(np.zeros((1, 2, 8), np.float32))
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: (embedding(rng, 8, 8), np.zeros((2, 4), np.int64)),
+    lambda rng: (layer_norm(8), np.ones((2, 4, 8), np.float32)),
+    lambda rng: (attention(rng, 8, 2), np.zeros((2, 4, 8), np.float32)),
+], ids=["embedding", "layer_norm", "attention"])
+def test_backward_needs_a_training_forward(rng, make):
+    layer, x = make(rng)
+    layer.forward(x)  # eval keeps nothing for backward
+    with pytest.raises(RuntimeError, match=r"^backward called before forward\(training=True\)$"):
+        layer.backward(np.zeros((2, 4, 8), np.float32))

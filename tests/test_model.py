@@ -132,3 +132,10 @@ def test_predict_logits_is_eval_mode():
     after = [layer.input_tracker.running_max
              for _, layer in model.named_qlinears()]
     assert trackers == after  # eval mode never moves the EMA
+
+
+def test_backward_needs_a_training_forward():
+    model = TransformerEncoderModel(SMALL, seed=0)
+    model.forward(_ids(np.random.default_rng(0)))  # eval keeps nothing for backward
+    with pytest.raises(RuntimeError, match=r"^backward called before forward\(training=True\)$"):
+        model.backward(np.zeros((4, 3), np.float32))

@@ -70,3 +70,10 @@ def test_rejects_lr_that_is_not_positive_and_finite(lr):
     p = Parameter(np.zeros(1, dtype=np.float32))
     with pytest.raises(ValueError, match="lr"):
         Adam({"p": p}, lr=lr)
+
+
+def test_rejects_a_gradient_of_the_wrong_shape():
+    p = Parameter(np.zeros(2, dtype=np.float32))
+    p.grad = np.zeros(3, dtype=np.float32)
+    with pytest.raises(ValueError, match="^gradient shape mismatch for p$"):
+        Adam({"p": p}).step()

@@ -206,3 +206,33 @@ def test_quantized_weights_land_on_grid(w):
     q = quantize(w, scale)
     back = dequantize(q, scale)
     np.testing.assert_array_equal(quantize(back, scale), q)
+
+
+@pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("convert", [quantize, dequantize], ids=["quantize", "dequantize"])
+def test_a_scale_must_be_positive_and_finite(convert, scale):
+    with pytest.raises(ValueError, match="^scale must be positive and finite, got "):
+        convert(np.ones(2, np.float32), scale)
+
+
+def test_quantize_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="^max quantized value must be >= 1, got 0$"):
+        quantize(np.ones(2, np.float32), 1.0, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("scale_of", [weight_scale, dynamic_scale], ids=["weight", "dynamic"])
+def test_scales_refuse_a_non_finite_tensor(scale_of, bad):
+    with pytest.raises(NonFiniteError, match="^tensor contains NaN or Inf$"):
+        scale_of(np.array([1.0, bad], dtype=np.float32))
+
+
+@pytest.mark.parametrize("running_max", [-1.0, np.inf, np.nan])
+def test_ema_tracker_rejects_a_bad_running_max(running_max):
+    with pytest.raises(ValueError, match="^running_max must be finite and >= 0, got "):
+        EmaTracker(running_max=running_max)
+
+
+def test_ema_update_rejects_a_negative_batch_max():
+    with pytest.raises(ValueError, match=r"^batch max must be >= 0, got -1\.0$"):
+        ema_update(EmaTracker(), -1.0)

@@ -273,6 +273,18 @@ def test_export_rejects_a_bias_that_could_wrap_int32():
         model.predict_logits(np.zeros((4, 4), dtype=np.int64))
 
 
+def test_simulation_names_every_layer_export_names():
+    model, _, _ = _trained_qat_model()
+    layers = dict(model.named_modules())
+    for name in ("blocks.0.fc_reduce", "classifier"):
+        layers[name].input_tracker.running_max = 1e-4
+        layers[name].bias.value[:] = 1.0
+    for run in (lambda: export(model),
+                lambda: model.predict_logits(np.zeros((4, 4), dtype=np.int64))):
+        with pytest.raises(ExportError, match="could wrap, in blocks.0.fc_reduce, classifier$"):
+            run()
+
+
 @pytest.mark.parametrize("name", ["blocks.0.attn.q_proj", "blocks.0.fc_expand",
                                   "blocks.0.fc_reduce", "classifier"])
 @pytest.mark.parametrize("index", [0, -1])
@@ -294,6 +306,12 @@ def test_int32_accumulator_bound_is_exact(four_kinds, name, index):
 def test_an_integer_model_is_not_converted_again(four_kinds, kind, convert):
     with pytest.raises(ExportError, match="already an integer model"):
         convert(four_kinds[kind])
+
+
+@pytest.mark.parametrize("kind", ["frozen", "dq"])
+def test_integer_models_run_inference_only(four_kinds, kind):
+    with pytest.raises(RuntimeError, match="^integer models run inference only$"):
+        four_kinds[kind].forward(np.zeros((2, 4), dtype=np.int64), training=True)
 
 
 def test_export_is_deterministic():

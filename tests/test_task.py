@@ -93,6 +93,10 @@ def test_task_validation():
         SyntheticTask(trigger_token=99)
     with pytest.raises(ValueError):
         SyntheticTask(seq_len=4)
+    with pytest.raises(ValueError, match="^blocker_token out of vocabulary$"):
+        SyntheticTask(blocker_token=99)
+    with pytest.raises(ValueError, match="^need at least one filler token$"):
+        SyntheticTask(vocab_size=2, trigger_token=1, blocker_token=0)
 
 
 def test_method_result_statistics():
@@ -141,3 +145,8 @@ def test_run_comparison_requires_seeds():
     with pytest.raises(ValueError):
         run_comparison(config, SyntheticTask(), TrainConfig(), seeds=(),
                        num_train=16, num_eval=16)
+
+
+def test_generate_needs_a_positive_count():
+    with pytest.raises(ValueError, match="^num_examples must be positive$"):
+        SyntheticTask().generate(0)

@@ -161,3 +161,33 @@ def test_other_errors_inside_a_step_are_not_divergence():
     model = TransformerEncoderModel(TINY, seed=0)
     with pytest.raises(IndexError):
         train(model, ids, labels, TrainConfig(epochs=1, batch_size=16, seed=0))
+
+
+@pytest.mark.parametrize("field,value", [("epochs", -1), ("batch_size", 0)])
+def test_train_config_rejects_a_bad_size(field, value):
+    bound = 0 if field == "epochs" else 1
+    with pytest.raises(ValueError, match=f"^{field} must be >= {bound}$"):
+        TrainConfig(**{field: value})
+
+
+@pytest.mark.parametrize("rows,label_rows,message", [
+    (0, 0, "training dataset is empty"), (8, 7, "inputs and labels disagree in length"),
+], ids=["empty", "length-mismatch"])
+def test_train_rejects_a_bad_dataset(rows, label_rows, message):
+    ids, labels = _toy_data()
+    model = TransformerEncoderModel(TINY, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train(model, ids[:rows], labels[:label_rows], TrainConfig(epochs=1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_loss_past_float32_is_divergence():
+    # finite logits of opposite signs, whose difference in the loss's
+    # max-subtraction overflows FP32: the loss is the first non-finite value
+    ids, labels = _toy_data()
+    model = TransformerEncoderModel(TINY, seed=0)
+    model.classifier.weight.value[0, 0] = 1e38
+    model.classifier.weight.value[1, 0] = -1e38
+    assert np.isfinite(model.predict_logits(ids)).all()
+    with pytest.raises(TrainingDivergedError, match="^non-finite loss at step 0$"):
+        train(model, ids, labels, TrainConfig(epochs=1, batch_size=32, seed=0))
