@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quant import EmaTracker, activation_scale, ema_update, fake_quantize, quantize, weight_scale
+from .quant import (EmaTracker, activation_scale, ema_update, fake_quantize, max_abs, quantize,
+                    weight_scale)
 from .tensor import ShapeError, gemm_f32, gemm_i8_i32
 
 LAYER_NORM_EPS = 1e-12
@@ -70,25 +71,42 @@ def softmax_backward(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return probs * (upstream - dot)
 
 
-def gelu_forward(x: np.ndarray) -> np.ndarray:
-    """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3)))."""
+def gelu_forward(x: np.ndarray, keep_tanh: bool = False):
+    """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3))).
+
+    With ``keep_tanh`` it returns (output, tanh) for :func:`gelu_backward`,
+    at the cost of one more buffer; otherwise just the output.
+    """
     x = np.asarray(x, dtype=np.float32)
     u = np.multiply(x, _GELU_A, out=np.empty_like(x))
     u *= x
     u *= x
     u += x
     u *= _GELU_C
-    np.tanh(u, out=u)
-    u += 1.0
+    t = np.tanh(u, out=u)
+    u = np.add(t, 1.0, out=None if keep_tanh else t)
     y = np.multiply(x, 0.5, out=np.empty_like(x))
     y *= u
-    return y
+    return (y, t) if keep_tanh else y
 
 
-def gelu_backward(upstream: np.ndarray, x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
-    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return upstream * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
+def gelu_backward(upstream: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """upstream * GELU'(x), given the tanh ``t`` that the forward kept:
+    upstream * (0.5 (1 + t) + 0.5 x (1 - t^2) C (1 + 3 A x^2))."""
+    du = np.multiply(x, 3.0 * _GELU_A)
+    du *= x
+    du += 1.0
+    du *= _GELU_C
+    dtanh = np.multiply(t, t)
+    np.subtract(1.0, dtanh, out=dtanh)
+    grad = np.multiply(x, 0.5)
+    grad *= dtanh
+    grad *= du
+    head = np.add(t, 1.0, out=dtanh)
+    head *= 0.5
+    grad += head
+    grad *= upstream
+    return grad
 
 
 def layer_norm_forward(x, gain, bias):
@@ -319,7 +337,7 @@ class QuantizedLinear(_Freezable):
         x2, lead = linear_rows(x, self.in_features)
         if m is not None:
             # the batch's own max joins the EMA before it is quantized
-            ema_update(self.input_tracker, float(np.max(np.abs(x2))))
+            ema_update(self.input_tracker, max_abs(x2))
             s_x = activation_scale(self.input_tracker, m)
             s_w = weight_scale(self.weight.value, m)
             x_used = fake_quantize(x2, s_x, m)
@@ -328,7 +346,8 @@ class QuantizedLinear(_Freezable):
             x_used = x2
             w_used = self.weight.value
 
-        y = gemm_f32(x_used, w_used.T) + self.bias.value
+        y = gemm_f32(x_used, w_used.T)
+        y += self.bias.value
         if training:
             self._cache = (x_used, w_used, lead)
         return y.reshape(lead + (self.out_features,))
@@ -492,17 +511,19 @@ class EncoderBlock:
     def forward(self, x, training: bool = False) -> np.ndarray:
         h = self.norm_attn.forward(x + self.attn.forward(x, training), training)
         pre = self.fc_expand.forward(h, training)
-        act = gelu_forward(pre)
         if training:
-            self._ffn_pre = pre
+            act, t = gelu_forward(pre, keep_tanh=True)
+            self._ffn_pre = pre, t
+        else:
+            act = gelu_forward(pre)
         del pre  # free the expand output before the next FC runs
         return self.norm_ffn.forward(h + self.fc_reduce.forward(act, training), training)
 
     def backward(self, upstream) -> np.ndarray:
-        ffn_pre = kept_for_backward(self._ffn_pre)
+        ffn_pre, ffn_tanh = kept_for_backward(self._ffn_pre)
         d_sum = self.norm_ffn.backward(upstream)
         d_gelu = self.fc_reduce.backward(d_sum)
-        d_pre = gelu_backward(d_gelu, ffn_pre)
+        d_pre = gelu_backward(d_gelu, ffn_pre, ffn_tanh)
         d_h = d_sum + self.fc_expand.backward(d_pre)
         d_res = self.norm_attn.backward(d_h)
         return d_res + self.attn.backward(d_res)

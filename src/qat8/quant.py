@@ -37,29 +37,65 @@ def _int_dtype_for(m: int):
     return np.int32
 
 
+try:  # the clip ufunc itself, without np.clip's Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # NumPy < 2
+    from numpy.core.umath import clip as _clip
+
+# Float32 has 24 significant bits, so every half-integer of magnitude below
+# 2**23 is a float32. Below this grid max, every rounding boundary k + 1/2
+# inside the grid is one.
+_F32_MAX_M = 1 << 23
+# |v - rint(v)| at or past which quantize recomputes an element with the
+# half-away formula: the ties, 0.5, and in float64 also 0.5 - 2**-54, the
+# one magnitude where that formula's v + 0.5 rounds up to 1.0. As a float32
+# the threshold is 0.5 itself.
+_RECOMPUTE_AT = 0.5 - 2.0 ** -54
+
+
 def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     """Map FP32 values onto the integer grid: clamp(round(x * scale), -m, m).
 
-    Rounding is half-away-from-zero, which keeps the map odd-symmetric.
-    The product runs in float64 so the rounding decision reflects the real
-    product rather than a float32 intermediate. The final cast truncates
-    toward zero; clipping before it gives the same integers as clipping
-    after, because the bounds are integers. An infinity saturates to -m or m
-    like any value past the grid; NaN, which has no integer, raises
-    :class:`NonFiniteError`.
+    Rounding is half-away-from-zero, which keeps the map odd-symmetric, and
+    acts on the float64 product, which is exact when x and scale are float32
+    values. An infinity saturates to -m or m like any value past the grid,
+    and so, silently, does a product too large for its float type; NaN,
+    which has no integer, raises :class:`NonFiniteError`.
+
+    The product is formed in float32 when that decides the same integers:
+    the input is float32, the scale a float32 value and m < 2**23. Rounding
+    the exact product to float32 is monotone, and every boundary k + 1/2
+    inside the grid is a float32, so the float32 product lies on the same
+    side of each boundary as the exact product unless it lands exactly on
+    one. Away from those ties, clipping to [-m, m] and ``np.rint`` give the
+    exact product's integer. ``v - rint(v)`` is exact, so ``|v - rint(v)|
+    == 0.5`` finds every tie, and only the ties are recomputed from the
+    float64 product as trunc(v + copysign(0.5, v)). Any other call (float64
+    data, a scale that is not a float32, the Int32 bias grid) runs the same
+    steps on the float64 product.
     """
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
     if m < 1:
         raise ValueError(f"max quantized value must be >= 1, got {m}")
-    v = np.multiply(x, scale, out=np.empty(np.shape(x)), dtype=np.float64)
-    v += np.copysign(0.5, v)
-    np.clip(v, -m, m, out=v)
-    # after the clip only NaN makes the cast invalid: the flag costs no pass
+    x = np.asarray(x)
     try:
-        with np.errstate(invalid="raise"):
-            return v.astype(_int_dtype_for(m))
+        # over: the product past the float range saturates like an infinity;
+        # invalid: only NaN raises it (in the cast), so the flag costs no pass
+        with np.errstate(over="ignore", invalid="raise"):
+            s = np.float32(scale)
+            if not (x.dtype == np.float32 and m < _F32_MAX_M and float(s) == scale):
+                s = np.float64(scale)
+            v = np.multiply(x, s, out=np.empty(x.shape, s.dtype), dtype=s.dtype)
+            _clip(v, -m, m, out=v)
+            r = np.rint(v, out=np.empty(x.shape, s.dtype))
+            v -= r
+            recompute = np.abs(v, out=v) >= _RECOMPUTE_AT
+            if recompute.any():
+                exact = np.multiply(x[recompute], scale, dtype=np.float64)
+                r[recompute] = np.trunc(exact + np.copysign(0.5, exact))
+            return r.astype(_int_dtype_for(m))
     except FloatingPointError:
         raise NonFiniteError("quantize input contains NaN") from None
 
@@ -69,7 +105,14 @@ def dequantize(q, scale: float) -> np.ndarray:
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    return np.asarray(q, dtype=np.float32) / np.float32(scale)
+    return np.divide(q, np.float32(scale), dtype=np.float32)
+
+
+def max_abs(t) -> float:
+    """max |t| without an |t| temporary: the larger of max t and -min t.
+    NaN propagates. Adding 0.0 turns the -0.0 that an all-zero tensor can
+    give into 0.0, as |t| would."""
+    return float(np.maximum(t.max(), -t.min())) + 0.0
 
 
 # The smallest float64 that rounds to inf in float32: halfway between the
@@ -89,7 +132,7 @@ def _max_abs_scale(t, m: int) -> np.float32:
     t = np.asarray(t)
     if t.size == 0:
         raise ValueError("cannot derive a scale from an empty tensor")
-    peak = float(np.max(np.abs(t)))
+    peak = max_abs(t)
     if not np.isfinite(peak):
         raise NonFiniteError("tensor contains NaN or Inf")
     return _scale_for_peak(peak, m)

@@ -9,9 +9,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qat8.layers import gelu_forward, layer_norm_forward, softmax_forward
-from qat8.quant import dynamic_scale, max_quant_value, quantize
+from qat8.layers import gelu_backward, gelu_forward, layer_norm_forward, softmax_forward
+from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
 from qat8.runtime import (
     INT32_MAX,
     DynamicQuantLinear,
@@ -38,6 +40,12 @@ def ref_gelu(x):
     x = np.asarray(x, dtype=np.float32)
     u = _GELU_C * (x + _GELU_A * x * x * x)
     return 0.5 * x * (1.0 + np.tanh(u))
+
+
+def ref_gelu_backward(upstream, x):
+    t = np.tanh(_GELU_C * (x + _GELU_A * x * x * x))
+    du = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
+    return upstream * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du)
 
 
 def ref_softmax(x):
@@ -119,10 +127,100 @@ def test_quantize_bias_path_matches_reference(rng):
     assert_same_bytes(quantize(b, 1e9, INT32_MAX), ref_quantize(b, 1e9, INT32_MAX))
 
 
+# Near-ties: the float32 neighbours of (k + 1/2) / s, whose products sit a
+# rounding error either side of k + 1/2, and that quotient itself, whose
+# float32 product is often exactly k + 1/2 while the exact product is not.
+# At a power-of-two scale the quotient is an exact tie.
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(bits=st.sampled_from([2, 3, 4, 5, 6, 7, 8, 16]),
+       scale=st.one_of(st.floats(2.0 ** -10, 2.0 ** 13, width=32),
+                       st.integers(-10, 13).map(lambda e: 2.0 ** e)),
+       ks=st.lists(st.tuples(st.integers(-40_000, 40_000), st.sampled_from([-1, 0, 1])),
+                   min_size=1, max_size=64))
+def test_quantize_matches_reference_at_planted_ties(bits, scale, ks):
+    m = max_quant_value(bits)
+    s = np.float32(scale)
+    x = []
+    for k, side in ks:
+        k = k % (2 * m + 3) - m - 2   # k + 1/2 in [-m - 1.5, m + 1.5]
+        t = np.float32((k + 0.5) / float(s))
+        x.append(np.nextafter(t, np.float32(side * np.inf)) if side else t)
+    x = np.array(x + [np.inf, -np.inf, 0.0, -0.0], dtype=np.float32)
+    assert_same_bytes(quantize(x, s, m), ref_quantize(x, s, m))
+
+
+def test_quantize_recomputes_a_float32_tie_the_exact_product_misses():
+    # (1.5 (1 + 2**-20)) * (1 - 2**-20) = 1.5 (1 - 2**-40): just below the
+    # tie, so it rounds to 1, but its float32 product is 1.5 itself
+    x = np.float32(1.5 * (1 + 2.0 ** -20))
+    s = np.float32(1 - 2.0 ** -20)
+    assert x * s == np.float32(1.5) and float(x) * float(s) < 1.5
+    for v in (x, -x):
+        assert_same_bytes(quantize(np.array([v]), s, 127), np.array([np.sign(v)], np.int8))
+        assert_same_bytes(quantize(np.array([v]), s, 127), ref_quantize([v], s, 127))
+
+
+def test_quantize_uses_a_scale_that_is_not_a_float32_as_it_is():
+    # 7 * 2.2142857165 = 15.5000000155 rounds to 16; the scale rounded to
+    # float32 would put the product below 15.5
+    x = np.float32([7.0, -7.0])
+    assert_same_bytes(quantize(x, 2.2142857165, 127), np.array([16, -16], np.int8))
+    assert_same_bytes(quantize(x, 2.2142857165, 127), ref_quantize(x, 2.2142857165, 127))
+
+
+def test_quantize_rounds_past_2_to_the_23_in_float64():
+    # 5592407 * 1.5 = 8388610.5 is a tie that float32, with no halves past
+    # 2**23, would round to the even 8388610
+    m = max_quant_value(25)
+    x = np.float32([5592407.0, -5592407.0])
+    assert_same_bytes(quantize(x, 1.5, m), np.array([8388611, -8388611], np.int32))
+
+
+def test_quantize_keeps_the_half_away_formula_below_one_half_in_float64():
+    # 0.5 - 2**-54 is the largest float64 below 1/2; the formula's v + 0.5
+    # rounds up to 1.0 there, where rint(v) is 0
+    x = np.array([0.5 - 2.0 ** -54, -(0.5 - 2.0 ** -54)])
+    assert_same_bytes(quantize(x, 1.0, 127), ref_quantize(x, 1.0, 127))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x,scale,m", [(np.float32([1e30, -1e30]), np.float32(1e10), 127),
+                                       (np.array([1e300, -1e300]), 1e10, INT32_MAX)],
+                         ids=["float32", "float64"])
+def test_quantize_saturates_an_overflowing_product_silently(x, scale, m):
+    assert_same_bytes(quantize(x, scale, m), np.array([m, -m], dtype=_int_dtype(m)))
+
+
+@pytest.mark.parametrize("shape", [(4096, 48), (192, 48), (1,), ()])
+def test_fake_quantize_matches_reference(rng, shape):
+    x = (rng.standard_normal(shape) * 3.0).astype(np.float32)
+    s = np.float32(127 / 7.3)
+    want = np.asarray(ref_quantize(x, s, 127), np.float32) / np.float32(s)
+    assert_same_bytes(fake_quantize(x, s, 127), want)
+
+
+def test_max_abs_matches_reference(rng):
+    zeros = np.zeros(5, np.float32)
+    mixed = np.array([0.0, -0.0, 0.0], np.float32)
+    for t in (rng.standard_normal((256, 48)).astype(np.float32), -np.abs(zeros + 2.0),
+              zeros, -zeros, mixed, -mixed, np.float32([-np.inf, 1.0])):
+        assert_same_bytes(np.float64(max_abs(t)), np.float64(np.max(np.abs(t))))
+    assert math.isnan(max_abs(np.float32([1.0, np.nan, -2.0])))
+
+
 @pytest.mark.parametrize("shape", [(256, 16, 192), (1, 1, 192), (1,), ()])
 def test_gelu_matches_reference(rng, shape):
     x = (rng.standard_normal(shape) * 3.0).astype(np.float32)
     assert_same_bytes(gelu_forward(x), ref_gelu(x))
+
+
+@pytest.mark.parametrize("shape", [(64, 16, 192), (1, 1, 192), (1,)])
+def test_gelu_backward_with_kept_tanh_matches_reference(rng, shape):
+    x = (rng.standard_normal(shape) * 3.0).astype(np.float32)
+    up = rng.standard_normal(shape).astype(np.float32)
+    y, t = gelu_forward(x, keep_tanh=True)
+    assert_same_bytes(y, ref_gelu(x))
+    assert_same_bytes(gelu_backward(up, x, t), ref_gelu_backward(up, x))
 
 
 def test_gelu_edge_values_match_reference():
