@@ -54,25 +54,45 @@ class Parameter:
 
 # The forward ops below work in place on one fresh buffer where they can,
 # so that a batch costs one allocation per result rather than one per step.
-# The order of their IEEE operations is part of the result: each gives the
-# bytes of its plain expression (tests/test_reference_ops.py).
+# Given ``out``, as a ufunc is, they write there, even if it is their input:
+# a caller passes only a buffer it owns and reads no more. By default they
+# never write their input. The order of their IEEE operations is part of
+# the result: each gives the bytes of its plain expression
+# (tests/test_reference_ops.py).
 
 
-def softmax_forward(x: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, max-subtracted for stability."""
-    e = np.subtract(x, np.max(x, axis=-1, keepdims=True))
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-1, keepdims=True) as a halving tree of np.maximum that
+    folds an odd tail into slot 0: exact in any order, and faster on short rows."""
+    if x.shape[-1:] < (2,):  # a scalar, or nothing to halve
+        return np.max(x, axis=-1, keepdims=True)
+    while (n := x.shape[-1]) > 1:
+        top = np.maximum(x[..., :n // 2], x[..., n // 2:n - n % 2])
+        if n % 2:
+            np.maximum(top[..., :1], x[..., -1:], out=top[..., :1])
+        x = top
+    return x
+
+
+def softmax_forward(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, max-subtracted for stability, written
+    into ``out`` (which may be ``x``) or a fresh array."""
+    e = np.subtract(x, _row_max(x), out=out)
     np.exp(e, out=e)
     e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
 def softmax_backward(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    dot = np.sum(upstream * probs, axis=-1, keepdims=True)
-    return probs * (upstream - dot)
+    g = upstream * probs
+    np.subtract(upstream, np.sum(g, axis=-1, keepdims=True), out=g)
+    g *= probs
+    return g
 
 
-def gelu_forward(x: np.ndarray, keep_tanh: bool = False):
-    """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3))).
+def gelu_forward(x: np.ndarray, keep_tanh: bool = False, out: np.ndarray | None = None):
+    """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3))), written
+    into ``out`` (which may be ``x``) or a fresh array.
 
     With ``keep_tanh`` it returns (output, tanh) for :func:`gelu_backward`,
     at the cost of one more buffer; otherwise just the output.
@@ -85,7 +105,7 @@ def gelu_forward(x: np.ndarray, keep_tanh: bool = False):
     u *= _GELU_C
     t = np.tanh(u, out=u)
     u = np.add(t, 1.0, out=None if keep_tanh else t)
-    y = np.multiply(x, 0.5, out=np.empty_like(x))
+    y = np.multiply(x, 0.5, out=np.empty_like(x) if out is None else out)
     y *= u
     return (y, t) if keep_tanh else y
 
@@ -446,14 +466,16 @@ def attention_mix(q, k, v, num_heads: int):
 
     The score (q @ k^T) and context (probs @ v) products are
     activation-activation matmuls with no weights attached; they stay FP32
-    in every execution mode. Returns (context, probs).
+    in every execution mode. Returns (context, probs), two fresh arrays; the
+    probs are the scores' own buffer, scaled and softmaxed in place.
     """
     qh = split_heads(q, num_heads)
     kh = split_heads(k, num_heads)
     vh = split_heads(v, num_heads)
     inv = 1.0 / math.sqrt(qh.shape[-1])
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * inv
-    probs = softmax_forward(scores)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scores *= inv
+    probs = softmax_forward(scores, out=scores)
     ctx = np.matmul(probs, vh)
     return merge_heads(ctx), probs
 
@@ -489,8 +511,9 @@ class MultiHeadAttention:
         d_probs = np.matmul(d_ctx, v.transpose(0, 1, 3, 2))
         d_v = np.matmul(probs.transpose(0, 1, 3, 2), d_ctx)
         d_scores = softmax_backward(d_probs, probs)
-        d_q = np.matmul(d_scores, k) * inv
-        d_k = np.matmul(d_scores.transpose(0, 1, 3, 2), q) * inv
+        d_q, d_k = np.matmul(d_scores, k), np.matmul(d_scores.transpose(0, 1, 3, 2), q)
+        d_q *= inv
+        d_k *= inv
         grad_x = self.q_proj.backward(merge_heads(d_q))
         grad_x = grad_x + self.k_proj.backward(merge_heads(d_k))
         grad_x = grad_x + self.v_proj.backward(merge_heads(d_v))
@@ -509,15 +532,18 @@ class EncoderBlock:
         self._ffn_pre = None
 
     def forward(self, x, training: bool = False) -> np.ndarray:
-        h = self.norm_attn.forward(x + self.attn.forward(x, training), training)
+        h = self.attn.forward(x, training)
+        h += x  # a residual add writes into the fresh output of the layer
+        h = self.norm_attn.forward(h, training)
         pre = self.fc_expand.forward(h, training)
         if training:
             act, t = gelu_forward(pre, keep_tanh=True)
             self._ffn_pre = pre, t
         else:
-            act = gelu_forward(pre)
-        del pre  # free the expand output before the next FC runs
-        return self.norm_ffn.forward(h + self.fc_reduce.forward(act, training), training)
+            act = gelu_forward(pre, out=pre)  # nothing reads pre after GELU
+        y = self.fc_reduce.forward(act, training)
+        y += h
+        return self.norm_ffn.forward(y, training)
 
     def backward(self, upstream) -> np.ndarray:
         ffn_pre, ffn_tanh = kept_for_backward(self._ffn_pre)

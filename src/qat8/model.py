@@ -168,7 +168,8 @@ class TransformerEncoderModel:
             raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
         try:
-            x = self.token_emb.forward(ids, training) + self.pos_emb.forward(pos_ids, training)
+            x = self.token_emb.forward(ids, training)
+            x += self.pos_emb.forward(pos_ids, training)  # into the fresh lookup
             x = self.emb_norm.forward(x, training)
             for block in self.blocks:
                 x = block.forward(x, training)

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qat8.layers import gelu_backward, gelu_forward, layer_norm_forward, softmax_forward
+from qat8.layers import (attention_mix, gelu_backward, gelu_forward, layer_norm_forward,
+                         merge_heads, softmax_backward, softmax_forward, split_heads)
 from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
 from qat8.runtime import (
     INT32_MAX,
@@ -52,6 +53,18 @@ def ref_softmax(x):
     z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def ref_softmax_backward(upstream, probs):
+    dot = np.sum(upstream * probs, axis=-1, keepdims=True)
+    return probs * (upstream - dot)
+
+
+def ref_attention_mix(q, k, v, heads):
+    qh, kh, vh = (split_heads(t, heads) for t in (q, k, v))
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(qh.shape[-1]))
+    probs = ref_softmax(scores)
+    return merge_heads(np.matmul(probs, vh)), probs
 
 
 def ref_layer_norm(x, gain, bias, eps=1e-12):
@@ -232,10 +245,87 @@ def test_gelu_edge_values_match_reference():
             assert_same_bytes(gelu_forward(v), ref_gelu(v))
 
 
-@pytest.mark.parametrize("shape", [(256, 4, 16, 16), (1, 4, 1, 1), (1,)])
+# with every row length the max's halving tree treats differently: one
+# wide, even and odd at each level, and the default config's 16
+@pytest.mark.parametrize("shape", [(256, 4, 16, 16), (1, 4, 1, 1), (1,), (64, 2), (64, 3),
+                                   (64, 7), (64, 13), (64, 17)])
 def test_softmax_matches_reference(rng, shape):
     x = (rng.standard_normal(shape) * 4.0).astype(np.float32)
     assert_same_bytes(softmax_forward(x), ref_softmax(x))
+
+
+@pytest.mark.parametrize("n", [5, 7, 16])
+def test_softmax_special_rows_match_reference(n):
+    inf, nan = np.inf, np.nan
+    rows = np.zeros((10, n), np.float32)
+    rows[0, ::2] = -0.0             # +0.0 and -0.0 mixed, either first
+    rows[1, 1::2] = -0.0
+    rows[2] = -0.0
+    rows[3, -1] = -0.0
+    rows[4, [0, -1]] = [inf, -inf]
+    rows[5] = -inf
+    rows[5, -1] = 1.0
+    rows[6] = -inf
+    rows[7] = inf
+    rows[8, 2] = nan
+    rows[9, -1] = nan
+    with np.errstate(invalid="ignore"):
+        assert_same_bytes(softmax_forward(rows), ref_softmax(rows))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (0, 0)])
+def test_softmax_of_an_empty_last_axis_raises_as_the_plain_max_does(shape):
+    x = np.zeros(shape, np.float32)
+    with pytest.raises(Exception) as want:
+        ref_softmax(x)
+    with pytest.raises(want.type, match=f"^{want.value}$"):
+        softmax_forward(x)
+
+
+def test_softmax_of_no_rows_matches_reference():
+    x = np.zeros((0, 4, 16, 16), np.float32)
+    assert_same_bytes(softmax_forward(x), ref_softmax(x))
+
+
+@pytest.mark.parametrize("shape", [(256, 4, 16, 16), (9, 13), (4, 1)])
+def test_softmax_into_its_input_matches_reference(rng, shape):
+    x = (rng.standard_normal(shape) * 4.0).astype(np.float32)
+    want = ref_softmax(x)
+    assert softmax_forward(x, out=x) is x
+    assert_same_bytes(x, want)
+
+
+@pytest.mark.parametrize("shape", [(256, 16, 192), (1, 1, 192), (1,), ()])
+def test_gelu_into_its_input_matches_reference(rng, shape):
+    x = np.array(rng.standard_normal(shape) * 3.0, np.float32)
+    want = ref_gelu(x)
+    assert gelu_forward(x, out=x) is x
+    assert_same_bytes(x, want)
+
+
+def test_forward_ops_leave_their_input_untouched_by_default(rng):
+    x = (rng.standard_normal((8, 4, 16, 17)) * 4.0).astype(np.float32)
+    before = x.copy()
+    softmax_forward(x)
+    gelu_forward(x)
+    gelu_forward(x, keep_tanh=True)
+    assert_same_bytes(x, before)
+
+
+@pytest.mark.parametrize("shape", [(64, 4, 16, 16), (3, 7), (1,)])
+def test_softmax_backward_matches_reference(rng, shape):
+    probs = softmax_forward((rng.standard_normal(shape) * 4.0).astype(np.float32))
+    up = rng.standard_normal(shape).astype(np.float32)
+    assert_same_bytes(softmax_backward(up, probs), ref_softmax_backward(up, probs))
+
+
+@pytest.mark.parametrize("batch,seq,heads", [(256, 16, 4), (1, 3, 2)])
+def test_attention_mix_matches_reference(rng, batch, seq, heads):
+    q, k, v = ((rng.standard_normal((batch, seq, 48)) * 2.0).astype(np.float32)
+               for _ in range(3))
+    got, want = attention_mix(q, k, v, heads), ref_attention_mix(q, k, v, heads)
+    for g, w in zip(got, want):
+        assert_same_bytes(g, w)
 
 
 @pytest.mark.parametrize("shape", [(256, 16, 48), (1, 1, 48), (1,)])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from qat8.runtime import (
     export,
     int8_linear_infer,
 )
+from qat8.task import SyntheticTask
 from qat8.tensor import ShapeError
 from qat8.training import TrainConfig, softmax_cross_entropy, train
 
@@ -377,3 +379,34 @@ def test_dq_accepts_qat_trained_weights_too():
     out = dq.predict_logits(ids[:8])
     assert out.shape == (8, 2)
     assert np.isfinite(out).all()
+
+
+# The most memory one 256-row eval batch may hold at the default config, in
+# MB as tracemalloc counts NumPy's buffers: one fresh buffer per result, each
+# freed once nothing reads it. FP32 read 11.0 MB before softmax and GELU
+# wrote into buffers their callers own, 7.9 after. The integer kinds read
+# 12.6: their peak is inside quantize on the fc_reduce input, whose buffers
+# take 7.9 of it.
+EVAL_PEAK_MB = {"fp32": 8.5, "qat": 12.6, "frozen": 12.6, "dq": 12.6}
+
+
+def test_eval_working_set_of_each_kind_at_the_default_config():
+    config = ModelConfig()
+    ids, _ = SyntheticTask(vocab_size=config.vocab_size,
+                           seq_len=config.max_seq_len).generate(256, seed=0)
+    fp32 = TransformerEncoderModel(config, seed=0)
+    qat = TransformerEncoderModel(config, quant_enabled=True, seed=0)
+    qat.forward(ids, training=True)  # calibrates its trackers
+    kinds = {"fp32": fp32, "qat": qat, "frozen": export(qat), "dq": dq_quantize(fp32)}
+    peaks = {}
+    for kind, model in kinds.items():
+        model.predict_logits(ids)  # builds what the QAT layers cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model.predict_logits(ids)
+            peaks[kind] = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+        finally:
+            tracemalloc.stop()
+    assert all(peaks[kind] <= limit for kind, limit in EVAL_PEAK_MB.items()), peaks
