@@ -16,6 +16,7 @@ docs/format.md for the byte-level reference.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -39,28 +40,34 @@ KIND_DYNAMIC = "int8-dynamic"
 
 _DTYPES = {"f32": np.dtype("<f4"), "i8": np.dtype("i1"), "i32": np.dtype("<i4")}
 
-# The schema, one entry per artifact kind: the model class, and for each
-# layer kind the leaf class and the tensors it stores, as (suffix, dtype,
-# rank, scale field). A tensor is named "<layer name>.<suffix>" and is read
-# from, or restored to, the leaf field of that name. Its shape is the first
-# `rank` dimensions of the layer's shape in layer_tree. A scale field names
-# the leaf field stored as the tensor's `scale`. docs/format.md has the
-# same table.
-_NORM = (LayerNorm, (("gain", "f32", 1, None), ("bias", "f32", 1, None)))
-_TRAINING = (TransformerEncoderModel, {
-    EMBEDDING: (QuantizedEmbedding, (("table", "f32", 2, None),)), NORM: _NORM,
-    LINEAR: (QuantizedLinear, (("weight", "f32", 2, None), ("bias", "f32", 1, None)))})
-_INT8_EMBEDDING = (QuantizedEmbeddingFrozen, (("table_q", "i8", 2, "scale"),))
+# The schema, the one statement of each artifact kind: the model class,
+# whether it quantizes (its leaves then share m, the grid max of the
+# config's bits), and per layer kind the leaf class, whether it takes m,
+# its tensors and the STATE key of the header state it keeps. A tensor
+# (suffix, dtype, rank, scale field) is named "<layer name>.<suffix>" and
+# is the leaf field of that name; its shape is the first `rank` dimensions
+# of the layer's shape in layer_tree, and the leaf field its scale field
+# names is stored as its `scale`. docs/format.md has the same table, and
+# test_format checks that the two agree.
+_NORM = (LayerNorm, False, (("gain", "f32", 1, None), ("bias", "f32", 1, None)), None)
+_FP32_EMBEDDING = (QuantizedEmbedding, True, (("table", "f32", 2, None),), None)
+_FP32_LINEAR = (("weight", "f32", 2, None), ("bias", "f32", 1, None))
+_INT8_EMBEDDING = (QuantizedEmbeddingFrozen, False, (("table_q", "i8", 2, "scale"),), None)
 _INT8_WEIGHT = ("weight_q", "i8", 2, "weight_scale")
 SCHEMA = {
-    KIND_FP32: _TRAINING,
-    KIND_QAT: _TRAINING,
-    KIND_FROZEN: (QuantizedModelFrozen, {
+    KIND_FP32: (TransformerEncoderModel, False, {
+        EMBEDDING: _FP32_EMBEDDING, NORM: _NORM,
+        LINEAR: (QuantizedLinear, True, _FP32_LINEAR, None)}),
+    KIND_QAT: (TransformerEncoderModel, True, {
+        EMBEDDING: _FP32_EMBEDDING, NORM: _NORM,
+        LINEAR: (QuantizedLinear, True, _FP32_LINEAR, "trackers")}),
+    KIND_FROZEN: (QuantizedModelFrozen, True, {
         EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
-        LINEAR: (QuantizedLinearFrozen, (_INT8_WEIGHT, ("bias_q", "i32", 1, None)))}),
-    KIND_DYNAMIC: (DynamicQuantModel, {
+        LINEAR: (QuantizedLinearFrozen, True, (_INT8_WEIGHT, ("bias_q", "i32", 1, None)),
+                 "input_scales")}),
+    KIND_DYNAMIC: (DynamicQuantModel, True, {
         EMBEDDING: _INT8_EMBEDDING, NORM: _NORM,
-        LINEAR: (DynamicQuantLinear, (_INT8_WEIGHT, ("bias", "f32", 1, None)))}),
+        LINEAR: (DynamicQuantLinear, True, (_INT8_WEIGHT, ("bias", "f32", 1, None)), None)}),
 }
 
 
@@ -90,13 +97,9 @@ def _is_scale(v) -> bool:
 
 
 def artifact_kind(model) -> str:
-    # the integer models are TransformerEncoderModels too: test them first
-    if isinstance(model, QuantizedModelFrozen):
-        return KIND_FROZEN
-    if isinstance(model, DynamicQuantModel):
-        return KIND_DYNAMIC
-    if isinstance(model, TransformerEncoderModel):
-        return KIND_QAT if model.quant_enabled else KIND_FP32
+    for kind, (model_cls, quantized, _) in SCHEMA.items():
+        if type(model) is model_cls and model.quant_enabled == quantized:
+            return kind
     raise TypeError(f"cannot serialize object of type {type(model).__name__}")
 
 
@@ -109,47 +112,35 @@ def serialize(model) -> bytes:
     """Serialize a model to deterministic artifact bytes."""
     kind = artifact_kind(model)
     modules = dict(model.named_modules())
-    _, leaves = SCHEMA[kind]
-    tensors, extra = {}, {}
+    _, _, leaves = SCHEMA[kind]
+    tensors, states = {}, {}
     for name, layer_kind, _ in layer_tree(model.config):
-        layer, (_, stored) = modules[name], leaves[layer_kind]
+        layer, (_, _, stored, state) = modules[name], leaves[layer_kind]
         for suffix, dtype, _, scale_field in stored:
             array = getattr(layer, suffix)
             if isinstance(array, Parameter):
                 array = array.value
             scale = _f32(getattr(layer, scale_field)) if scale_field else None
             tensors[f"{name}.{suffix}"] = (dtype, array, scale)
-        if layer_kind == LINEAR and kind == KIND_QAT:
-            tracker = layer.input_tracker
-            extra.setdefault("trackers", {})[name] = {
-                "decay": tracker.decay,
-                "running_max": _f32(tracker.running_max),
-                "initialized": tracker.initialized,
-            }
-        elif layer_kind == LINEAR and kind == KIND_FROZEN:
-            extra.setdefault("input_scales", {})[name] = _f32(layer.input_scale)
+        if state:
+            field, write, _ = STATE[state]
+            states.setdefault(state, {})[name] = write(getattr(layer, field))
 
-    directory = []
-    chunks = []
-    offset = 0
+    directory, chunks, offset = [], [], 0
     for name in sorted(tensors):
         dtype, array, scale = tensors[name]
         raw = np.ascontiguousarray(array, dtype=_DTYPES[dtype]).tobytes()
-        entry = {"name": name, "dtype": dtype, "shape": list(array.shape),
-                 "offset": offset}
+        entry = {"name": name, "dtype": dtype, "shape": list(array.shape), "offset": offset}
         if scale is not None:
             entry["scale"] = scale
         directory.append(entry)
         chunks.append(raw)
         offset += len(raw)
 
-    header = {"kind": kind, "config": vars(model.config),
-              "tensors": directory, **extra}
+    header = {"kind": kind, "config": vars(model.config), "tensors": directory, **states}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    return b"".join(
-        [MAGIC, bytes([VERSION]), struct.pack("<I", len(header_bytes)), header_bytes]
-        + chunks
-    )
+    return b"".join([MAGIC, bytes([VERSION]), struct.pack("<I", len(header_bytes)),
+                     header_bytes, *chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +218,9 @@ def _config_from_header(header) -> ModelConfig:
     if not isinstance(fields, dict) or not all(
             _is_count(v) for k, v in fields.items() if k != "ema_decay"):
         raise FormatError(f"invalid model config in header: {fields!r}")
+    # a default would stand in for what the saved model had
+    if missing := [f.name for f in dataclasses.fields(ModelConfig) if f.name not in fields]:
+        raise FormatError(f"model config in header has no {missing[0]!r}")
     try:
         return ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
@@ -252,13 +246,13 @@ def _check_grid(int8_tensors: dict, m: int):
                           f"the symmetric grid [-{m}, {m}] of the header's bits")
 
 
-def _input_scale(header, name, weight_scale) -> np.float32:
+def _input_scale(header, name, fields) -> np.float32:
     """A frozen FC's input scale; its product with the weight scale, the bias
     scale the runtime divides by, must be positive and finite in float32."""
     input_scales = header.get("input_scales")
     if not isinstance(input_scales, dict) or not _is_scale(input_scales.get(name)):
         raise FormatError(f"artifact has no valid input scale for {name!r}")
-    scale = np.float32(input_scales[name])
+    scale, weight_scale = np.float32(input_scales[name]), fields["weight_scale"]
     # the float64 product of two float32s is exact, so this tests the one
     # rounding to float32 that the runtime's product makes
     product = float(scale) * float(weight_scale)
@@ -268,19 +262,28 @@ def _input_scale(header, name, weight_scale) -> np.float32:
     return scale
 
 
-def _tracker(header, name) -> EmaTracker:
+def _tracker(header, name, fields) -> EmaTracker:
     trackers = header.get("trackers")
     state = trackers.get(name) if isinstance(trackers, dict) else None
     try:
         if not (isinstance(state["initialized"], bool) and _is_f32(state["decay"])
                 and _is_f32(state["running_max"])):
             raise TypeError("initialized must be a bool, decay and running_max numbers")
-        return EmaTracker(decay=float(state["decay"]),
-                          running_max=float(np.float32(state["running_max"])),
+        return EmaTracker(decay=float(state["decay"]), running_max=_f32(state["running_max"]),
                           initialized=state["initialized"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"artifact has no valid tracker state for {name!r}: "
                           f"{exc!r}") from exc
+
+
+# The header state a leaf keeps besides its tensors, by header key: (leaf
+# field, write, read). The header maps each layer's name to the written
+# field; a reader takes (header, layer name, the leaf's fields read so far).
+STATE = {
+    "trackers": ("input_tracker", lambda t: {"decay": t.decay, "initialized": t.initialized,
+                                             "running_max": _f32(t.running_max)}, _tracker),
+    "input_scales": ("input_scale", _f32, _input_scale),
+}
 
 
 def _restore(header, payload, config, kind):
@@ -288,15 +291,12 @@ def _restore(header, payload, config, kind):
     from its layers. The directory must list exactly the tensors that the
     schema and the config imply, with their dtypes and shapes."""
     entries = {entry["name"]: entry for entry in header["tensors"]}
-    model_cls, leaves = SCHEMA[kind]
-    m = None if kind == KIND_FP32 else max_quant_value(config.bits)
-    # what a layer takes besides its tensors, by layer kind
-    extra = ({EMBEDDING: {"m": m}, NORM: {}, LINEAR: {"m": m, "ema_decay": config.ema_decay}}
-             if kind in (KIND_FP32, KIND_QAT) else {EMBEDDING: {}, NORM: {}, LINEAR: {"m": m}})
+    model_cls, quantized, leaves = SCHEMA[kind]
+    m = max_quant_value(config.bits) if quantized else None
     layers, int8_tensors = {}, {}
     for name, layer_kind, shape in layer_tree(config):
-        fields = dict(extra[layer_kind])
-        leaf_cls, stored = leaves[layer_kind]
+        leaf_cls, takes_m, stored, state = leaves[layer_kind]
+        fields = {"m": m} if takes_m else {}
         for suffix, dtype, rank, scale_field in stored:
             tensor, implied = f"{name}.{suffix}", list(shape[:rank])
             entry = entries.pop(tensor, None)
@@ -308,21 +308,19 @@ def _restore(header, payload, config, kind):
             fields[suffix] = _read_tensor(entry, payload)
             if dtype == "i8":
                 int8_tensors[tensor] = fields[suffix]
+            if ("scale" in entry) != bool(scale_field):
+                raise FormatError(f"tensor {tensor} has {'no' if scale_field else 'a stray'} scale")
             if scale_field:
-                if "scale" not in entry:
-                    raise FormatError(f"tensor {tensor} has no scale")
                 fields[scale_field] = np.float32(entry["scale"])
-        if layer_kind == LINEAR and kind == KIND_FROZEN:
-            fields["input_scale"] = _input_scale(header, name, fields["weight_scale"])
-        layers[name] = layer = leaf_cls(**fields)
-        if layer_kind == LINEAR and kind == KIND_QAT:
-            layer.input_tracker = _tracker(header, name)
+        if state:
+            field, _, read = STATE[state]
+            fields[field] = read(header, name, fields)
+        layers[name] = leaf_cls(**fields)
     if entries:
         raise FormatError(f"tensor set mismatch: unexpected {sorted(entries)}")
     _check_grid(int8_tensors, m)
     model = model_cls.from_layers(config, layers)
-    wrapping = model.overflowing_layers() if kind == KIND_FROZEN else []
-    if wrapping:
+    if wrapping := model.overflowing_layers():
         raise FormatError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
     return model
 

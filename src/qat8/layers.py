@@ -327,12 +327,13 @@ class QuantizedLinear(_Freezable):
     plain FP32 linear layer.
     """
 
-    def __init__(self, weight, bias, *, m: int | None = None, ema_decay: float = 0.9):
+    def __init__(self, weight, bias, *, m: int | None = None,
+                 input_tracker: EmaTracker | None = None):
         self.weight = Parameter(weight)
         self.bias = Parameter(bias)
         self.out_features, self.in_features = self.weight.value.shape
         self.m = m
-        self.input_tracker = EmaTracker(decay=ema_decay)
+        self.input_tracker = EmaTracker() if input_tracker is None else input_tracker
         self._cache = None
 
     def named_params(self):

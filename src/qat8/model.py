@@ -15,8 +15,8 @@ import numpy as np
 
 from .layers import (AccumulatorWrapError, EncoderBlock, ExportError, LayerNorm,
                      MultiHeadAttention, Parameter, QuantizedEmbedding, QuantizedLinear,
-                     freeze_linear, kept_for_backward, over_limit)
-from .quant import max_quant_value
+                     QuantizedLinearFrozen, freeze_linear, kept_for_backward, over_limit)
+from .quant import EmaTracker, max_quant_value
 from .tensor import ShapeError
 
 
@@ -84,7 +84,7 @@ def _new_leaf(kind, shape, rng, m, ema_decay):
     w = rng.normal(0.0, 0.02, size=shape)
     if kind == EMBEDDING:
         return QuantizedEmbedding(w, m=m)
-    return QuantizedLinear(w, np.zeros(shape[0]), m=m, ema_decay=ema_decay)
+    return QuantizedLinear(w, np.zeros(shape[0]), m=m, input_tracker=EmaTracker(decay=ema_decay))
 
 
 class TransformerEncoderModel:
@@ -113,17 +113,15 @@ class TransformerEncoderModel:
         # the leaves in layer_tree order, held by the tree below as well: its
         # walkers read them here rather than resolve each name's path
         self._leaves = {name: layers[name] for name, _, _ in layer_tree(config)}
-        self.token_emb = layers["token_emb"]
-        self.pos_emb = layers["pos_emb"]
-        self.emb_norm = layers["emb_norm"]
+        # in that order: the embeddings and their norm, each block's leaves
+        # (its attention's four, then its own), the classifier
+        self.token_emb, self.pos_emb, self.emb_norm, *inner, self.classifier = self._leaves.values()
+        per_block = len(inner) // config.num_layers
         self.blocks = []
-        for i in range(config.num_layers):
-            leaves = [layers[f"blocks.{i}.{part}"] for part in (
-                "attn.q_proj", "attn.k_proj", "attn.v_proj", "attn.out_proj",
-                "norm_attn", "fc_expand", "fc_reduce", "norm_ffn")]
+        for i in range(0, len(inner), per_block):
+            leaves = inner[i:i + per_block]
             attn = MultiHeadAttention(config.num_heads, *leaves[:4])
             self.blocks.append(EncoderBlock(attn, *leaves[4:]))
-        self.classifier = layers["classifier"]
         self._batch_shape = None
 
     @property
@@ -147,6 +145,13 @@ class TransformerEncoderModel:
     def named_qlinears(self) -> list[tuple[str, QuantizedLinear]]:
         return [(name, mod) for name, mod in self.named_modules()
                 if isinstance(mod, QuantizedLinear)]
+
+    def overflowing_layers(self) -> list[str]:
+        """The Int8 FC layers whose Int32 accumulator can wrap on some input:
+        those whose max|bias_q| exceeds their accumulator headroom."""
+        return over_limit((name, fc.bias_q, fc.accumulator_headroom())
+                          for name, fc in self.named_modules()
+                          if isinstance(fc, QuantizedLinearFrozen))
 
     def uncalibrated(self) -> list[str]:
         """The quantizing FC layers whose activation tracker has seen no data."""
@@ -177,9 +182,9 @@ class TransformerEncoderModel:
         except AccumulatorWrapError as exc:
             # a QAT layer in eval refuses the Int32 bias export refuses: name
             # every such layer, by the scan export runs on the same Int8 layers
-            fcs = [(name, freeze_linear(fc, fc.m)) for name, fc in self.named_qlinears()
-                   if fc.input_tracker.initialized]
-            names = over_limit((name, fc.bias_q, fc.accumulator_headroom()) for name, fc in fcs)
+            frozen = {name: freeze_linear(fc, fc.m) for name, fc in self.named_qlinears()
+                      if fc.input_tracker.initialized}
+            names = self.from_layers(self.config, {**self._leaves, **frozen}).overflowing_layers()
             raise ExportError(f"{exc}, in {', '.join(names)}") from None
         if training:
             self._batch_shape = ids.shape

@@ -25,7 +25,7 @@ import numpy as np
 from .layers import (BIAS_WRAP, INT32_MAX, ExportError, LayerNorm,  # noqa: F401
                      QuantizedEmbeddingFrozen, QuantizedLinearFrozen, attention_mix,
                      freeze_embedding, freeze_linear, gelu_forward, int8_linear_infer,
-                     layer_norm_forward, linear_rows, over_limit)
+                     layer_norm_forward, linear_rows)
 from .model import EMBEDDING, LINEAR, NORM, TransformerEncoderModel, layer_tree
 from .quant import dynamic_scale, max_quant_value, quantize, weight_scale
 from .tensor import gemm_i8_i32
@@ -66,13 +66,6 @@ class _IntegerEncoder(TransformerEncoderModel):
 
 class QuantizedModelFrozen(_IntegerEncoder):
     """Exported model: Int8 weights, Int32 biases, frozen scales."""
-
-    def overflowing_layers(self) -> list[str]:
-        """The FC layers whose Int32 accumulator can wrap on some input: those
-        whose max|bias_q| exceeds their accumulator headroom."""
-        return over_limit((name, fc.bias_q, fc.accumulator_headroom())
-                          for name, fc in self.named_modules()
-                          if isinstance(fc, QuantizedLinearFrozen))
 
 
 class DynamicQuantModel(_IntegerEncoder):
@@ -119,8 +112,7 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             f"for {', '.join(uncalibrated)}"
         )
     frozen = _convert(model, QuantizedModelFrozen, freeze_linear)
-    wrapping = frozen.overflowing_layers()
-    if wrapping:
+    if wrapping := frozen.overflowing_layers():
         raise ExportError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
     return frozen
 

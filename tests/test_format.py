@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import re
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from qat8.format import (
     MAGIC,
+    SCHEMA,
     FormatError,
     deserialize,
     inspect_header,
@@ -18,8 +21,8 @@ from qat8.format import (
     save_artifact,
     serialize,
 )
-from qat8.model import ModelConfig, TransformerEncoderModel
-from qat8.quant import max_quant_value
+from qat8.model import EMBEDDING, LINEAR, NORM, ModelConfig, TransformerEncoderModel
+from qat8.quant import ema_update, max_quant_value
 from qat8.runtime import dq_quantize, export
 from qat8.training import TrainConfig, train
 
@@ -82,6 +85,70 @@ def test_round_trip_is_bit_exact(models, kind):
 
 def test_serialization_is_deterministic(models):
     assert serialize(models["qat"]) == serialize(models["qat"])
+
+
+def _golden_models():
+    """The four kinds built with no GEMM, so their bytes do not depend on the
+    BLAS build: seeded untrained models whose biases and norm parameters are
+    drawn too, fixed batch maxima fed to each QAT tracker, then export and dq."""
+    rng = np.random.default_rng(7)
+    models = {}
+    for kind, quant_enabled in (("fp32", False), ("qat", True)):
+        model = TransformerEncoderModel(ModelConfig(), quant_enabled=quant_enabled, seed=1)
+        for name, param in model.parameters().items():
+            if not name.endswith((".weight", ".table")):
+                param.value += rng.normal(0.0, 0.1, param.value.shape).astype(np.float32)
+        models[kind] = model
+    for i, (_, fc) in enumerate(models["qat"].named_qlinears()):
+        for batch_max in (1.0 + i, 2.5 + i / 4):
+            ema_update(fc.input_tracker, batch_max)
+    models["frozen"] = export(models["qat"])
+    models["dq"] = dq_quantize(models["fp32"])
+    return models
+
+
+# the sha256 of each kind's artifact from _golden_models: any change to the
+# bytes a model serializes to shows here
+GOLDEN_SHA256 = {
+    "fp32": "c556baa857f0ac386bac91ed9f394fdcd883b3c7873cf6b2947ae555f5e49e6d",
+    "qat": "493bec6d7cc0c1313e4e2ad7106ec80f2f8e925aed3584a21361ee6afdd681f4",
+    "frozen": "926b2aa744e056c2ded67b06bb9552982b7f8a357ebf67c5d0af5ac252b8f242",
+    "dq": "ef5bbaef7344ff27c9b8cc3205d1d66329433e9422969e998aceaeb18f955b9a",
+}
+
+
+def test_artifact_bytes_match_their_golden_hashes():
+    blobs = {kind: serialize(model) for kind, model in _golden_models().items()}
+    assert {kind: hashlib.sha256(data).hexdigest() for kind, data in blobs.items()} == GOLDEN_SHA256
+    for kind, data in blobs.items():
+        assert serialize(deserialize(data)) == data, kind
+
+
+def _doc_schema():
+    """The tensor-schema table of docs/format.md, as {artifact kind: {layer
+    kind: [(suffix, dtype, whether it has a scale)]}}."""
+    text = (Path(__file__).resolve().parents[1] / "docs" / "format.md").read_text()
+    section = text.split("## Tensor schema", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| ") and not line.startswith("| ---")]
+    header, body = rows[0], rows[1:]
+    layer_kinds = {"embedding": EMBEDDING, "layer norm": NORM, "linear": LINEAR}
+    schema = {}
+    for column, cell in enumerate(header[2:], start=2):
+        for kind in re.findall(r"`([\w-]+)`", cell):
+            schema[kind] = {layer_kinds[row[0].strip()]: [
+                (suffix, dtype, bool(scale)) for suffix, dtype, scale in re.findall(
+                    r"`(\w+)` (f32|i8|i32)(?: `\[[^\]]*\]`)?(, scale)?", row[column])]
+                for row in body}
+    return schema
+
+
+def test_doc_table_matches_the_schema():
+    from_code = {kind: {layer_kind: [(suffix, dtype, scale_field is not None)
+                                     for suffix, dtype, _, scale_field in stored]
+                        for layer_kind, (_, _, stored, _) in leaves.items()}
+                 for kind, (_, _, leaves) in SCHEMA.items()}
+    assert _doc_schema() == from_code
 
 
 def test_header_layout(models):
@@ -311,6 +378,28 @@ def test_rejects_a_bias_scale_past_float32(models, input_scale, weight_scale):
     next(e for e in header["tensors"]
          if e["name"] == "blocks.0.fc_expand.weight_q")["scale"] = weight_scale
     with pytest.raises(FormatError, match="bias scale of 'blocks.0.fc_expand'"):
+        deserialize(_rebuild(header, payload))
+
+
+@pytest.mark.parametrize("key", [field.name for field in fields(ModelConfig)])
+def test_rejects_a_config_without_one_of_its_keys(artifacts, key):
+    # ModelConfig's default must not stand in for what the saved model had:
+    # without `bits` a 4-bit model would load on the 8-bit grid
+    header, _, payload = _split(artifacts[4, "qat"])
+    del header["config"][key]
+    with pytest.raises(FormatError, match=f"^model config in header has no '{key}'$"):
+        deserialize(_rebuild(header, payload))
+
+
+@pytest.mark.parametrize("tensor,kind", [
+    ("token_emb.table", "fp32"), ("blocks.0.norm_ffn.gain", "qat"),
+    ("classifier.bias_q", "frozen"), ("blocks.0.fc_expand.bias", "dq")])
+def test_rejects_a_scale_on_a_tensor_whose_schema_has_none(models, tensor, kind):
+    # a scale is stored only where the schema names one; any other would be
+    # dropped on load and missing on save
+    header, _, payload = _split(serialize(models[kind]))
+    next(e for e in header["tensors"] if e["name"] == tensor)["scale"] = 2.0
+    with pytest.raises(FormatError, match=f"^tensor {re.escape(tensor)} has a stray scale$"):
         deserialize(_rebuild(header, payload))
 
 
