@@ -189,6 +189,9 @@ def _validate_directory(directory, payload_len: int):
         for key in ("name", "dtype", "shape", "offset"):
             if key not in entry:
                 raise FormatError(f"tensor entry missing key {key!r}: {entry}")
+        if len(entry) > 4 + ("scale" in entry):
+            raise FormatError(f"tensor entry has keys besides name, dtype, shape, offset "
+                              f"and scale: {entry}")
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         if not isinstance(name, str) or name in names:
             raise FormatError(f"tensor name {name!r} is not a string or repeats")
@@ -269,6 +272,8 @@ def _tracker(header, name, fields) -> EmaTracker:
         if not (isinstance(state["initialized"], bool) and _is_f32(state["decay"])
                 and _is_f32(state["running_max"])):
             raise TypeError("initialized must be a bool, decay and running_max numbers")
+        if len(state) > 3:
+            raise TypeError(f"fields besides decay, initialized and running_max: {state}")
         return EmaTracker(decay=float(state["decay"]), running_max=_f32(state["running_max"]),
                           initialized=state["initialized"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -292,6 +297,10 @@ def _restore(header, payload, config, kind):
     schema and the config imply, with their dtypes and shapes."""
     entries = {entry["name"]: entry for entry in header["tensors"]}
     model_cls, quantized, leaves = SCHEMA[kind]
+    # the header keys and layer names of the state this kind keeps
+    states = {state: set() for *_, state in leaves.values() if state}
+    if unknown := sorted(set(header) - {"kind", "config", "tensors", *states}):
+        raise FormatError(f"header key {unknown[0]!r} is not part of a {kind} artifact")
     m = max_quant_value(config.bits) if quantized else None
     layers, int8_tensors = {}, {}
     for name, layer_kind, shape in layer_tree(config):
@@ -315,9 +324,14 @@ def _restore(header, payload, config, kind):
         if state:
             field, _, read = STATE[state]
             fields[field] = read(header, name, fields)
+            states[state].add(name)
         layers[name] = leaf_cls(**fields)
     if entries:
         raise FormatError(f"tensor set mismatch: unexpected {sorted(entries)}")
+    for state, names in states.items():
+        if unknown := sorted(set(header[state]) - names):
+            raise FormatError(f"{state} has an entry for {unknown[0]!r}, "
+                              "which is not a layer that keeps one")
     _check_grid(int8_tensors, m)
     model = model_cls.from_layers(config, layers)
     if wrapping := model.overflowing_layers():

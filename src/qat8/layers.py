@@ -4,11 +4,11 @@ Linear and embedding layers are quantization-capable: given a grid max
 ``m`` they fake-quantize their weights (and, for linear, their inputs) onto
 the symmetric grid [-m, m] in the training forward pass and back-propagate
 through the rounding with the straight-through estimator; with ``m=None``
-they are plain FP32. In eval each runs the integer layer that export
-freezes from it (Int8 FC, Int8 table; the embedding in training too),
-cached until a value it is built from changes, so the simulation gives the
-exported model's bits. Softmax, layer norm and GELU are plain FP32 and have
-no quantized variants; the integer models hold the same :class:`LayerNorm`.
+they are plain FP32. A quantizing linear layer runs in training only: its
+model evaluates by running the Int8 layers export builds from it. The
+embedding looks its rows up in the Int8 table export builds, in training
+and eval alike. Softmax, layer norm and GELU are plain FP32 and have no
+quantized variants; the integer models hold the same :class:`LayerNorm`.
 
 A leaf layer takes its tensors and reads its sizes from their shapes; the
 attention and encoder-block containers take their leaves. Each backward
@@ -193,11 +193,6 @@ BIAS_WRAP = ("Int32 bias too large: max|bias_q| + K*m^2 exceeds 2**31 - 1, "
              "so the accumulator could wrap")
 
 
-class AccumulatorWrapError(ExportError):
-    """An FC layer's Int32 bias leaves its accumulator room to wrap; the
-    model that holds the layer names every such layer."""
-
-
 @dataclass
 class QuantizedLinearFrozen:
     """FC layer frozen to Int8 weight, Int32 bias, and fixed scales."""
@@ -300,31 +295,14 @@ def freeze_embedding(emb, m: int) -> QuantizedEmbeddingFrozen:
     return QuantizedEmbeddingFrozen(table_q=quantize(emb.table.value, scale, m), scale=scale)
 
 
-class _Freezable:
-    """A quantization-aware leaf that runs the integer layer ``_freeze``
-    builds, as export does, from the values ``_frozen_state`` names."""
-
-    _frozen = _frozen_from = None
-
-    def frozen(self):
-        """The integer layer export would build from this one, cached until a
-        value it is built from changes. The optimizer writes the arrays in
-        place and a caller may reassign them, so they are compared by value
-        (bytes), not by identity."""
-        state = self._frozen_state()
-        if state != self._frozen_from:
-            self._frozen, self._frozen_from = self._freeze(), state
-        return self._frozen
-
-
-class QuantizedLinear(_Freezable):
+class QuantizedLinear:
     """FC layer that fake-quantizes its input and weight onto [-m, m].
 
     The FP32 master weight is the only thing the optimizer ever touches;
     fake quantization produces fresh arrays each training forward, and the
-    bias is added in FP32. Eval runs :func:`int8_linear_infer` on the layer
-    :func:`freeze_linear` builds, as export does. With ``m=None`` this is a
-    plain FP32 linear layer.
+    bias is added in FP32. A quantizing layer has no eval pass: its model
+    evaluates the layer :func:`freeze_linear` builds from it, as export does.
+    With ``m=None`` this is a plain FP32 linear layer.
     """
 
     def __init__(self, weight, bias, *, m: int | None = None,
@@ -339,22 +317,10 @@ class QuantizedLinear(_Freezable):
     def named_params(self):
         return [("weight", self.weight), ("bias", self.bias)]
 
-    def _frozen_state(self):
-        tracker = self.input_tracker
-        return (self.weight.value.tobytes(), self.bias.value.tobytes(),
-                tracker.running_max, tracker.initialized, self.m)
-
-    def _freeze(self) -> QuantizedLinearFrozen:
-        frozen = freeze_linear(self, self.m)
-        if peak(frozen.bias_q) > frozen.accumulator_headroom():
-            raise AccumulatorWrapError(BIAS_WRAP)
-        return frozen
-
     def forward(self, x, training: bool = False) -> np.ndarray:
         m = self.m
         if m is not None and not training:
-            # eval predicts the integer runtime by running it
-            return int8_linear_infer(self.frozen(), x)
+            raise RuntimeError("quantizing FC layers run training only")
         x2, lead = linear_rows(x, self.in_features)
         if m is not None:
             # the batch's own max joins the EMA before it is quantized
@@ -387,7 +353,7 @@ class QuantizedLinear(_Freezable):
         return grad_x.reshape(lead + (self.in_features,))
 
 
-class QuantizedEmbedding(_Freezable):
+class QuantizedEmbedding:
     """Lookup table returning rows fake-quantized onto [-m, m], or FP32 rows
     with ``m=None``.
 
@@ -407,18 +373,12 @@ class QuantizedEmbedding(_Freezable):
     def named_params(self):
         return [("table", self.table)]
 
-    def _frozen_state(self):
-        return self.table.value.tobytes(), self.m
-
-    def _freeze(self) -> QuantizedEmbeddingFrozen:
-        return freeze_embedding(self, self.m)
-
     def forward(self, ids, training: bool = False) -> np.ndarray:
         if training:
             self._cache = ids = embedding_ids(ids, self.num_entries)
         if self.m is None:
             return self.table.value[embedding_ids(ids, self.num_entries)]
-        return self.frozen().forward(ids)  # the lookup checks the ids
+        return freeze_embedding(self, self.m).forward(ids)  # the lookup checks the ids
 
     def backward(self, upstream) -> None:
         """Scatter upstream gradients into the FP32 table (STE through rows)."""

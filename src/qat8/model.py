@@ -4,7 +4,10 @@ forward pass for every kind of model.
 In a training model every FC and embedding layer can fake-quantize;
 softmax, layer norm and GELU run in FP32 only. With quantization disabled
 the model is an ordinary FP32 transformer, bit for bit. The integer models
-of :mod:`qat8.runtime` put Int8 layers in the same tree.
+of :mod:`qat8.runtime` put Int8 layers in the same tree, converted layer by
+layer by :func:`convert_layers`. A QAT model evaluates by running its Int8
+twin, the model export builds from it, so the simulation gives the exported
+model's bits.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import (AccumulatorWrapError, EncoderBlock, ExportError, LayerNorm,
-                     MultiHeadAttention, Parameter, QuantizedEmbedding, QuantizedLinear,
-                     QuantizedLinearFrozen, freeze_linear, kept_for_backward, over_limit)
+from .layers import (BIAS_WRAP, EncoderBlock, ExportError, LayerNorm, MultiHeadAttention,
+                     Parameter, QuantizedEmbedding, QuantizedLinear, QuantizedLinearFrozen,
+                     freeze_embedding, freeze_linear, kept_for_backward, over_limit)
 from .quant import EmaTracker, max_quant_value
 from .tensor import ShapeError
 
@@ -123,6 +126,7 @@ class TransformerEncoderModel:
             attn = MultiHeadAttention(config.num_heads, *leaves[:4])
             self.blocks.append(EncoderBlock(attn, *leaves[4:]))
         self._batch_shape = None
+        self._twin = self._twin_of = None
 
     @property
     def quant_enabled(self) -> bool:
@@ -172,20 +176,15 @@ class TransformerEncoderModel:
         if seq > self.config.max_seq_len:
             raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
         pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
-        try:
-            x = self.token_emb.forward(ids, training)
-            x += self.pos_emb.forward(pos_ids, training)  # into the fresh lookup
-            x = self.emb_norm.forward(x, training)
-            for block in self.blocks:
-                x = block.forward(x, training)
-            logits = self.classifier.forward(x[:, 0, :], training)
-        except AccumulatorWrapError as exc:
-            # a QAT layer in eval refuses the Int32 bias export refuses: name
-            # every such layer, by the scan export runs on the same Int8 layers
-            frozen = {name: freeze_linear(fc, fc.m) for name, fc in self.named_qlinears()
-                      if fc.input_tracker.initialized}
-            names = self.from_layers(self.config, {**self._leaves, **frozen}).overflowing_layers()
-            raise ExportError(f"{exc}, in {', '.join(names)}") from None
+        # a QAT model evaluates by running the Int8 model export builds
+        qat = isinstance(self.classifier, QuantizedLinear) and self.quant_enabled
+        net = self._int8_twin() if qat and not training else self
+        x = net.token_emb.forward(ids, training)
+        x += net.pos_emb.forward(pos_ids, training)  # into the fresh lookup
+        x = net.emb_norm.forward(x, training)
+        for block in net.blocks:
+            x = block.forward(x, training)
+        logits = net.classifier.forward(x[:, 0, :], training)
         if training:
             self._batch_shape = ids.shape
         return logits
@@ -203,3 +202,33 @@ class TransformerEncoderModel:
 
     def predict_logits(self, ids) -> np.ndarray:
         return self.forward(ids, training=False)
+
+    def _int8_twin(self) -> TransformerEncoderModel:
+        """The Int8 model export builds from this QAT model, on this model's
+        own LayerNorm objects, cached until a value it is built from changes.
+        The optimizer writes the arrays in place and a caller may reassign
+        them, so they are compared by value (bytes), not by identity."""
+        key = [emb.table.value.tobytes() for emb in (self.token_emb, self.pos_emb)]
+        for _, fc in self.named_qlinears():
+            key += (fc.weight.value.tobytes(), fc.bias.value.tobytes(),
+                    fc.input_tracker.running_max, fc.input_tracker.initialized)
+        if key != self._twin_of:
+            self._twin = convert_layers(self, TransformerEncoderModel, freeze_linear,
+                                        lambda norm, m: norm)
+            self._twin_of = key
+        return self._twin
+
+def convert_layers(model: TransformerEncoderModel, model_cls, convert_linear, convert_norm):
+    """``model_cls`` on the layers of a training model, each converted by
+    its kind with the grid max of the config's bits: each embedding frozen
+    to its Int8 table, each FC by ``convert_linear``, each norm by
+    ``convert_norm``. It refuses the Int8 FC layers whose Int32 accumulator
+    could wrap, naming every one."""
+    convert = {EMBEDDING: freeze_embedding, NORM: convert_norm, LINEAR: convert_linear}
+    m = max_quant_value(model.config.bits)
+    converted = model_cls.from_layers(model.config, {
+        name: convert[kind](layer, m)
+        for (name, kind, _), layer in zip(layer_tree(model.config), model._leaves.values())})
+    if wrapping := converted.overflowing_layers():
+        raise ExportError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
+    return converted

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .layers import ExportError, LayerNorm, freeze_linear, linear_rows
 # perfbench/spans.py looks up attention_mix, gelu_forward, layer_norm_forward,
-# int8_linear_infer and QuantizedEmbeddingFrozen here; they live in
-# qat8.layers, where the shared forward and the QAT layers run them
-from .layers import (BIAS_WRAP, INT32_MAX, ExportError, LayerNorm,  # noqa: F401
-                     QuantizedEmbeddingFrozen, QuantizedLinearFrozen, attention_mix,
-                     freeze_embedding, freeze_linear, gelu_forward, int8_linear_infer,
-                     layer_norm_forward, linear_rows)
-from .model import EMBEDDING, LINEAR, NORM, TransformerEncoderModel, layer_tree
-from .quant import dynamic_scale, max_quant_value, quantize, weight_scale
+# int8_linear_infer and QuantizedEmbeddingFrozen here; runtime uses none of them
+from .layers import (QuantizedEmbeddingFrozen, attention_mix, gelu_forward,  # noqa: F401
+                     int8_linear_infer, layer_norm_forward)
+from .model import TransformerEncoderModel, convert_layers
+from .quant import dynamic_scale, quantize, weight_scale
 from .tensor import gemm_i8_i32
 
 
@@ -88,15 +86,11 @@ def _copy_norm(norm, m: int) -> LayerNorm:
 
 
 def _convert(model: TransformerEncoderModel, model_cls, convert_linear):
-    """Convert each layer of a training model by its kind."""
+    """The integer model of a training model, with copies of its norms."""
     if isinstance(model, _IntegerEncoder):
         raise ExportError(f"{type(model).__name__} is already an integer model; "
                           "export and dq convert a training model")
-    convert = {EMBEDDING: freeze_embedding, NORM: _copy_norm, LINEAR: convert_linear}
-    m = max_quant_value(model.config.bits)
-    modules = dict(model.named_modules())
-    return model_cls.from_layers(model.config, {name: convert[kind](modules[name], m)
-                                                for name, kind, _ in layer_tree(model.config)})
+    return convert_layers(model, model_cls, convert_linear, _copy_norm)
 
 
 def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
@@ -111,10 +105,7 @@ def export(model: TransformerEncoderModel) -> QuantizedModelFrozen:
             "model was never trained with quantization: no activation statistics "
             f"for {', '.join(uncalibrated)}"
         )
-    frozen = _convert(model, QuantizedModelFrozen, freeze_linear)
-    if wrapping := frozen.overflowing_layers():
-        raise ExportError(f"{BIAS_WRAP}, in {', '.join(wrapping)}")
-    return frozen
+    return _convert(model, QuantizedModelFrozen, freeze_linear)
 
 
 def dq_quantize(model: TransformerEncoderModel) -> DynamicQuantModel:

@@ -23,9 +23,10 @@ from gradcheck import (
 )
 from qat8.config import RunConfig
 from qat8.format import serialize
+from qat8.layers import INT32_MAX, QuantizedLinearFrozen
 from qat8.model import ModelConfig, TransformerEncoderModel
 from qat8.quant import dequantize, fake_quantize, max_quant_value, quantize, weight_scale
-from qat8.runtime import INT32_MAX, QuantizedLinearFrozen, export, int8_linear_infer
+from qat8.runtime import export, int8_linear_infer
 from qat8.task import relative_error, run_comparison
 from qat8.tensor import gemm_i8_i32
 from qat8.training import TrainConfig, train

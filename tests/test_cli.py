@@ -5,6 +5,8 @@ import pytest
 
 from qat8.cli import main
 from qat8.format import load_artifact, save_artifact
+from qat8.model import ModelConfig, TransformerEncoderModel
+from qat8.quant import ema_update
 
 FAST = ["--set", "num_train=64", "--set", "num_eval=64", "--set", "epochs=1",
         "--set", "dim=8", "--set", "num_heads=2", "--set", "ffn_dim=16",
@@ -291,6 +293,53 @@ def test_exit_code_4_on_int32_bias_past_bound(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--model", str(frozen), *FAST]) == 4
     assert "Int32 bias" in capsys.readouterr().err
+
+
+def _default_qat_artifact(path, edit):
+    """A default-config QAT model, untrained, with every tracker fed one
+    batch maximum of 1.0, then edited by ``edit`` on its layers by name."""
+    model = TransformerEncoderModel(ModelConfig(), quant_enabled=True, seed=0)
+    for _, fc in model.named_qlinears():
+        ema_update(fc.input_tracker, 1.0)
+    edit(dict(model.named_modules()))
+    save_artifact(model, str(path))
+    return str(path)
+
+
+def _wrapping_classifier(layers):
+    # a tiny frozen input range puts the bias past the Int32 headroom
+    layers["classifier"].input_tracker.running_max = 1e-6
+    layers["classifier"].bias.value[:] = 1.0
+
+
+def _uncalibrated_fc_reduce(layers):
+    layers["blocks.1.fc_reduce"].input_tracker.initialized = False
+
+
+def _eval_or_export(command, model, tmp_path):
+    if command == "eval":
+        return main(["eval", "--model", model])
+    return main(["quantize", "--model", model, "--method", "export",
+                 "--out", str(tmp_path / "frozen.qat")])
+
+
+@pytest.mark.parametrize("command", ["eval", "quantize"])
+def test_exit_code_2_when_a_qat_model_could_wrap(tmp_path, capsys, command):
+    model = _default_qat_artifact(tmp_path / "qat.qat", _wrapping_classifier)
+    assert _eval_or_export(command, model, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.endswith("could wrap, in classifier\n")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("eval", "activation tracker has not observed any batch"),
+    ("quantize", "model was never trained with quantization: no activation statistics "
+                 "for blocks.1.fc_reduce")])
+def test_exit_code_2_when_a_qat_model_is_uncalibrated(tmp_path, capsys, command, message):
+    model = _default_qat_artifact(tmp_path / "qat.qat", _uncalibrated_fc_reduce)
+    assert _eval_or_export(command, model, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and message in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("input_scale,weight_scale", [(1e-30, 1e-20), (1e30, 1e30)],

@@ -331,6 +331,8 @@ def test_int8_payloads_must_lie_on_the_grid(artifacts, kind, bits, value, loads,
             deserialize(data)
 
 
+# Adam's second moment can overflow on these draws (ROADMAP item 4)
+@pytest.mark.filterwarnings("default:overflow encountered in multiply:RuntimeWarning:qat8.optim")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(bits=st.integers(2, 8), num_heads=st.integers(1, 3), head_dim=st.integers(1, 4),
        ffn_dim=st.integers(1, 12), num_layers=st.integers(1, 2), data=st.data())
@@ -516,6 +518,45 @@ def test_rejects_mistyped_tracker_state(models, mutate):
     header, _, payload = _split(serialize(models["qat"]))
     with pytest.raises(FormatError, match="tracker"):
         deserialize(_rebuild(mutate(header), payload))
+
+
+_TRACKER = {"decay": 0.9, "initialized": True, "running_max": 1.0}
+
+
+# Content the loader would drop: the model it builds would save without it.
+@pytest.mark.parametrize("kind,mutate,message", [
+    pytest.param("fp32", _set_header("trackers", {"classifier": _TRACKER}),
+                 "^header key 'trackers' is not part of a fp32 artifact$", id="fp32-trackers"),
+    pytest.param("qat", _set_header("note", "hello"),
+                 "^header key 'note' is not part of a qat artifact$", id="top-level-note"),
+    pytest.param("qat", _set_header("input_scales", {"classifier": 2.0}),
+                 "^header key 'input_scales' is not part of a qat artifact$",
+                 id="qat-input-scales"),
+    pytest.param("frozen", lambda header: {**header, "input_scales": {
+        **header["input_scales"], "blocks.7.fc_expand": 2.0}},
+                 "^input_scales has an entry for 'blocks.7.fc_expand', which is not a layer",
+                 id="input-scale-of-no-layer"),
+    pytest.param("qat", lambda header: {**header, "trackers": {
+        **header["trackers"], "emb_norm": _TRACKER}},
+                 "^trackers has an entry for 'emb_norm', which is not a layer",
+                 id="tracker-of-no-fc"),
+    pytest.param("qat", _set_tracker("note", "hello"),
+                 "^artifact has no valid tracker state for 'blocks.0.fc_reduce'.*'note'",
+                 id="tracker-field"),
+    pytest.param("dq", _set_entry("note", "hello"),
+                 "^tensor entry has keys besides .*'note'", id="entry-note"),
+])
+def test_rejects_header_content_it_would_drop(models, kind, mutate, message):
+    header, _, payload = _split(serialize(models[kind]))
+    data = _rebuild(mutate(header), payload)
+    with pytest.raises(FormatError, match=message):
+        deserialize(data)
+
+
+def test_inspect_rejects_an_unknown_entry_key(models):
+    header, _, payload = _split(serialize(models["fp32"]))
+    with pytest.raises(FormatError, match="^tensor entry has keys besides .*'note'"):
+        inspect_header(_rebuild(_set_entry("note", "hello")(header), payload))
 
 
 @pytest.mark.parametrize("quant_enabled", [False, True], ids=["fp32", "qat"])

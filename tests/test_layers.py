@@ -227,6 +227,15 @@ def test_master_weights_stay_off_grid_fp32(rng):
     np.testing.assert_array_equal(fc.weight.value, before)  # forward never edits
 
 
+def test_a_quantizing_linear_layer_has_no_eval_pass(rng):
+    # its model evaluates the Int8 layer export builds from it instead
+    fc = linear(rng, 4, 2, m=127)
+    x = np.ones((1, 4), np.float32)
+    fc.forward(x, training=True)
+    with pytest.raises(RuntimeError, match="^quantizing FC layers run training only$"):
+        fc.forward(x, training=False)
+
+
 def test_ema_ordering_flag(rng):
     x1 = np.full((1, 4), 2.0, np.float32)
     x2 = np.full((1, 4), 4.0, np.float32)

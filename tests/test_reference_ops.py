@@ -12,16 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qat8.layers import (attention_mix, gelu_backward, gelu_forward, layer_norm_forward,
-                         merge_heads, softmax_backward, softmax_forward, split_heads)
+from qat8.layers import (INT32_MAX, QuantizedLinearFrozen, attention_mix, gelu_backward,
+                         gelu_forward, layer_norm_forward, merge_heads, softmax_backward,
+                         softmax_forward, split_heads)
 from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
-from qat8.runtime import (
-    INT32_MAX,
-    DynamicQuantLinear,
-    QuantizedLinearFrozen,
-    dynamic_linear_infer,
-    int8_linear_infer,
-)
+from qat8.runtime import DynamicQuantLinear, dynamic_linear_infer, int8_linear_infer
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715

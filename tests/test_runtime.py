@@ -6,15 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qat8.model
 from qat8.format import deserialize, serialize
+from qat8.layers import INT32_MAX, QuantizedLinearFrozen
 from qat8.model import ModelConfig, TransformerEncoderModel
 from qat8.optim import Adam
 from qat8.quant import EmaTracker, TrackerStateError, dequantize, quantize, weight_scale
 from qat8.runtime import (
-    INT32_MAX,
     DynamicQuantLinear,
     ExportError,
-    QuantizedLinearFrozen,
     dq_quantize,
     dynamic_linear_infer,
     export,
@@ -168,6 +168,8 @@ def test_simulation_equals_frozen_at_any_batch_split(bits, seed):
     np.testing.assert_array_equal(full, export(model).predict_logits(probe))
 
 
+# Adam's second moment can overflow on these draws (ROADMAP item 4)
+@pytest.mark.filterwarnings("default:overflow encountered in multiply:RuntimeWarning:qat8.optim")
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(bits=st.integers(2, 8), num_heads=st.integers(1, 3), head_dim=st.integers(1, 4),
        ffn_dim=st.integers(1, 12), num_layers=st.integers(1, 2),
@@ -238,12 +240,28 @@ WRITES = ["weight in place", "weight reassigned", "bias", "tracker changed",
 def test_simulation_notices_every_write(write):
     model, ids, _ = _trained_qat_model()
     probe = ids[:32]
-    before = model.predict_logits(probe)   # fills the eval caches
+    before = model.predict_logits(probe)   # builds the cached Int8 model
     model = _write(model, write)
     after = model.predict_logits(probe)
     if write != "deserialize":
         assert not np.array_equal(after, before)
     np.testing.assert_array_equal(after, export(model).predict_logits(probe))
+
+
+def test_simulation_reuses_its_int8_model_until_a_write(monkeypatch):
+    model, ids, _ = _trained_qat_model()
+    probe = ids[:32]
+    before = model.predict_logits(probe)   # builds the Int8 model
+    built = []
+    for name in ("freeze_linear", "freeze_embedding"):
+        freeze = getattr(qat8.model, name)
+        monkeypatch.setattr(qat8.model, name,
+                            lambda *args, freeze=freeze: built.append(args) or freeze(*args))
+    np.testing.assert_array_equal(model.predict_logits(probe), before)
+    assert built == []
+    _write(model, "bias")
+    model.predict_logits(probe)
+    assert len(built) == len(model.named_qlinears()) + 2  # each FC and embedding
 
 
 def test_simulation_needs_tracker_state():
@@ -400,7 +418,7 @@ def test_eval_working_set_of_each_kind_at_the_default_config():
     kinds = {"fp32": fp32, "qat": qat, "frozen": export(qat), "dq": dq_quantize(fp32)}
     peaks = {}
     for kind, model in kinds.items():
-        model.predict_logits(ids)  # builds what the QAT layers cache
+        model.predict_logits(ids)  # builds the Int8 model a QAT model caches
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
