@@ -453,7 +453,9 @@ class MultiHeadAttention:
         self.out_proj = out_proj
         self._cache = None
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
+    def forward(self, x, training: bool = False, rows=slice(None)) -> np.ndarray:
+        """Attention over every position of ``x``; the output projection runs
+        on the positions ``rows`` selects (on the sequence axis) only."""
         q = self.q_proj.forward(x, training)
         k = self.k_proj.forward(x, training)
         v = self.v_proj.forward(x, training)
@@ -462,7 +464,7 @@ class MultiHeadAttention:
             self._cache = (q, k, v, probs)
         # in eval nothing keeps them: free them before the next FC runs
         del q, k, v, probs
-        return self.out_proj.forward(ctx, training)
+        return self.out_proj.forward(ctx[:, rows], training)
 
     def backward(self, upstream) -> np.ndarray:
         q, k, v, probs = kept_for_backward(self._cache)
@@ -492,9 +494,11 @@ class EncoderBlock:
         self.norm_ffn = norm_ffn
         self._ffn_pre = None
 
-    def forward(self, x, training: bool = False) -> np.ndarray:
-        h = self.attn.forward(x, training)
-        h += x  # a residual add writes into the fresh output of the layer
+    def forward(self, x, training: bool = False, rows=slice(None)) -> np.ndarray:
+        """The block's output at the positions ``rows`` selects; attention
+        still reads every position."""
+        h = self.attn.forward(x, training, rows)
+        h += x[:, rows]  # a residual add writes into the fresh output of the layer
         h = self.norm_attn.forward(h, training)
         pre = self.fc_expand.forward(h, training)
         if training:

@@ -7,7 +7,9 @@ the model is an ordinary FP32 transformer, bit for bit. The integer models
 of :mod:`qat8.runtime` put Int8 layers in the same tree, converted layer by
 layer by :func:`convert_layers`. A QAT model evaluates by running its Int8
 twin, the model export builds from it, so the simulation gives the exported
-model's bits.
+model's bits. The classifier reads the first token only, so eval runs the
+last block past attention on that token alone; training, and the dynamic
+model, whose activation scales read every position, run it on all of them.
 """
 
 from __future__ import annotations
@@ -97,6 +99,9 @@ class TransformerEncoderModel:
     :mod:`qat8.layers`, or the integer layers export and dq build.
     """
 
+    # whether eval runs the last block past attention on the first token only
+    first_token_eval = True
+
     def __init__(self, config: ModelConfig, *, quant_enabled: bool = False, seed: int = 0):
         rng = np.random.default_rng(seed)
         # one symmetric grid for every quantized layer, or none for FP32
@@ -182,8 +187,13 @@ class TransformerEncoderModel:
         x = net.token_emb.forward(ids, training)
         x += net.pos_emb.forward(pos_ids, training)  # into the fresh lookup
         x = net.emb_norm.forward(x, training)
-        for block in net.blocks:
+        *inner, last = net.blocks
+        for block in inner:
             x = block.forward(x, training)
+        # the classifier reads position 0 only: eval runs the last block past
+        # attention on it alone; training keeps every position for backward
+        rows = slice(0, 1) if self.first_token_eval and not training else slice(None)
+        x = last.forward(x, training, rows)
         logits = net.classifier.forward(x[:, 0, :], training)
         if training:
             self._batch_shape = ids.shape

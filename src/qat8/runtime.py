@@ -69,6 +69,10 @@ class QuantizedModelFrozen(_IntegerEncoder):
 class DynamicQuantModel(_IntegerEncoder):
     """Post-training model: Int8 weights, FP32 biases, per-tensor dynamic scales."""
 
+    # a dynamic scale is max|x| over the whole input tensor, so a row's logits
+    # depend on every position and every other row: the last block keeps them all
+    first_token_eval = False
+
 
 def _dynamic_linear(layer, m: int) -> DynamicQuantLinear:
     w = layer.weight.value

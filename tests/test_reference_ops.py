@@ -1,4 +1,5 @@
-"""The forward ops that work in place against their plain expressions.
+"""The forward ops that work in place against their plain expressions, and
+the model's eval forward against every block run on every position.
 
 Each reference below is the straightforward NumPy expression of the op,
 one fresh array per step. The package's ops reuse buffers instead and must
@@ -12,11 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qat8.layers import (INT32_MAX, QuantizedLinearFrozen, attention_mix, gelu_backward,
-                         gelu_forward, layer_norm_forward, merge_heads, softmax_backward,
-                         softmax_forward, split_heads)
+from qat8.layers import (INT32_MAX, QuantizedLinear, QuantizedLinearFrozen, attention_mix,
+                         gelu_backward, gelu_forward, layer_norm_forward, merge_heads,
+                         softmax_backward, softmax_forward, split_heads)
+from qat8.model import ModelConfig, TransformerEncoderModel
 from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
-from qat8.runtime import DynamicQuantLinear, dynamic_linear_infer, int8_linear_infer
+from qat8.runtime import (DynamicQuantLinear, dq_quantize, dynamic_linear_infer, export,
+                          int8_linear_infer)
+from qat8.task import SyntheticTask
+from qat8.training import TrainConfig, train
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
@@ -91,6 +96,23 @@ def ref_dynamic_linear(layer, x, m):
     y = acc.astype(np.float32) / (np.float32(s_x) * np.float32(layer.weight_scale))
     y = y + layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))
+
+
+def ref_forward(model, ids):
+    """The encoder's eval forward with every block on every position, from
+    the model's own leaves and the plain attention mix and GELU above. Pass
+    an integer model, or an FP32 training model: a QAT model evaluates the
+    model export builds from it."""
+    pos_ids = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
+    x = model.emb_norm.forward(model.token_emb.forward(ids) + model.pos_emb.forward(pos_ids))
+    for block in model.blocks:
+        attn = block.attn
+        ctx, _ = ref_attention_mix(attn.q_proj.forward(x), attn.k_proj.forward(x),
+                                   attn.v_proj.forward(x), attn.num_heads)
+        h = block.norm_attn.forward(attn.out_proj.forward(ctx) + x)
+        act = ref_gelu(block.fc_expand.forward(h))
+        x = block.norm_ffn.forward(block.fc_reduce.forward(act) + h)
+    return model.classifier.forward(x[:, 0, :])
 
 
 def assert_same_bytes(got, want):
@@ -346,3 +368,114 @@ def test_integer_linears_match_reference(rng, lead):
                                  bias=(0.1 * rng.standard_normal(192)).astype(np.float32))
     assert_same_bytes(int8_linear_infer(frozen, x), ref_int8_linear(frozen, x, 127))
     assert_same_bytes(dynamic_linear_infer(dynamic, x), ref_dynamic_linear(dynamic, x, 127))
+
+
+# ---------------------------------------------------------------------------
+# The model's forward against every block on every position
+# ---------------------------------------------------------------------------
+
+# How far FP32 logits may move when a batch of B rows runs its last block's
+# FCs on B rows instead of B * seq: the BLAS kernels for a few rows round
+# differently from those for many (at 1 to 17 rows here). A float32 logit
+# near 2 has an ulp of 2.4e-7; the every-position forward's own 1-row and
+# 256-row logits already differ by up to 6.6e-7 at the default config.
+FP32_SMALL_BATCH_ATOL = 1e-6
+
+
+def _kinds_of(config, ids, labels, seed=0):
+    """(model, the model ref_forward runs) for each kind, trained on ids."""
+    fp32 = TransformerEncoderModel(config, seed=seed)
+    qat = TransformerEncoderModel(config, quant_enabled=True, seed=seed)
+    for model in (fp32, qat):
+        train(model, ids, labels, TrainConfig(epochs=1, batch_size=32, seed=seed))
+    frozen, dq = export(qat), dq_quantize(fp32)
+    return {"fp32": (fp32, fp32), "qat": (qat, frozen), "int8-frozen": (frozen, frozen),
+            "int8-dynamic": (dq, dq)}
+
+
+@pytest.fixture(scope="module")
+def default_kinds():
+    config = ModelConfig()
+    data = SyntheticTask(vocab_size=config.vocab_size, seq_len=config.max_seq_len)
+    kinds = _kinds_of(config, *data.generate(512, seed=0))
+    return kinds, data.generate(256, seed=1)[0]
+
+
+def _batched(fn, ids, batch):
+    return np.concatenate([fn(ids[i:i + batch]) for i in range(0, len(ids), batch)])
+
+
+def _assert_fp32_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=0, atol=FP32_SMALL_BATCH_ATOL)
+    np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
+@pytest.mark.parametrize("batch", [1, 2, 3, 17, 64, 256])
+@pytest.mark.parametrize("kind", ["fp32", "qat", "int8-frozen", "int8-dynamic"])
+def test_predict_logits_matches_every_block_on_every_position(default_kinds, kind, batch):
+    kinds, probe = default_kinds
+    model, net = kinds[kind]
+    got = _batched(model.predict_logits, probe, batch)
+    want = _batched(lambda ids: ref_forward(net, ids), probe, batch)
+    if kind == "fp32" and batch < 64:
+        _assert_fp32_close(got, want)
+    else:
+        assert_same_bytes(got, want)
+
+
+def _fc_expand_rows(monkeypatch, config):
+    """The rows of every input to an FC layer of fc_expand's shape, in call
+    order: the rows each block's feed-forward runs on."""
+    rows = []
+    for cls in (QuantizedLinear, QuantizedLinearFrozen, DynamicQuantLinear):
+        def spy(layer, x, training=False, forward=cls.forward):
+            w = layer.weight.value if isinstance(layer, QuantizedLinear) else layer.weight_q
+            if w.shape == (config.ffn_dim, config.dim):
+                rows.append(x.size // config.dim)
+            return forward(layer, x, training)
+        monkeypatch.setattr(cls, "forward", spy)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["fp32", "qat", "int8-frozen", "int8-dynamic"])
+def test_eval_runs_the_last_block_past_attention_on_the_first_token_only(
+        default_kinds, monkeypatch, kind):
+    kinds, probe = default_kinds
+    config = ModelConfig()
+    ids = probe[:5]
+    kinds[kind][0].predict_logits(ids)  # a QAT model builds its Int8 model here
+    rows = _fc_expand_rows(monkeypatch, config)
+    kinds[kind][0].predict_logits(ids)
+    # a dynamic scale reads its whole input tensor, so dq keeps every position
+    last = 5 * config.max_seq_len if kind == "int8-dynamic" else 5
+    assert rows == [5 * config.max_seq_len, last]
+
+
+@pytest.mark.parametrize("quant_enabled", [False, True])
+def test_training_runs_every_block_on_every_position(monkeypatch, quant_enabled):
+    config = ModelConfig()
+    model = TransformerEncoderModel(config, quant_enabled=quant_enabled, seed=0)
+    ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(5, config.max_seq_len))
+    rows = _fc_expand_rows(monkeypatch, config)
+    model.forward(ids, training=True)
+    assert rows == [5 * config.max_seq_len] * 2
+
+
+@pytest.mark.parametrize("case", ["num_layers=1", "max_seq_len=1", "short ids"])
+def test_edge_configs_match_every_block_on_every_position(case):
+    config = ModelConfig(vocab_size=8, max_seq_len=1 if case == "max_seq_len=1" else 6,
+                         dim=8, num_heads=2, ffn_dim=16,
+                         num_layers=1 if case == "num_layers=1" else 2)
+    seq = 3 if case == "short ids" else config.max_seq_len
+    rng = np.random.default_rng(3)
+    ids = rng.integers(0, 8, size=(128, seq))
+    kinds = _kinds_of(config, ids, (ids[:, 0] >= 4).astype(np.int64))
+    probe = rng.integers(0, 8, size=(40, seq))
+    for kind, (model, net) in kinds.items():
+        for batch in (1, 7, 40):
+            got = _batched(model.predict_logits, probe, batch)
+            want = _batched(lambda ids: ref_forward(net, ids), probe, batch)
+            if kind == "fp32":
+                _assert_fp32_close(got, want)
+            else:
+                assert_same_bytes(got, want)
