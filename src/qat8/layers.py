@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quant import (EmaTracker, activation_scale, ema_update, fake_quantize, max_abs, quantize,
-                    weight_scale)
-from .tensor import ShapeError, gemm_f32, gemm_i8_i32
+                    round_onto_grid, weight_scale)
+from .tensor import ShapeError, gemm_f32, gemm_grid
 
 LAYER_NORM_EPS = 1e-12
 INT32_MAX = (1 << 31) - 1
@@ -222,11 +222,20 @@ class QuantizedLinearFrozen:
 
 def int8_linear_infer(layer: QuantizedLinearFrozen, x) -> np.ndarray:
     """Quantize the input with the frozen scale, run Int8 GEMM into the
-    Int32 bias, then dequantize the accumulator by input_scale * weight_scale."""
+    Int32 bias, then dequantize the accumulator by input_scale * weight_scale.
+
+    The input's Int8 grid stays in the floats it is rounded into, and the
+    exact GEMM takes it as it is. One ufunc then adds the bias in Int32
+    and rounds the sum to FP32, in the product's own buffer when the GEMM
+    ran in float32: the bits of ``gemm_i8_i32(quantize(x), w) + bias_q``
+    cast to FP32, without its full-size int8 and int32 copies.
+    """
     x2, lead = linear_rows(x, layer.weight_q.shape[1])
-    acc = gemm_i8_i32(quantize(x2, layer.input_scale, layer.m), layer.weight_q.T)
-    acc += layer.bias_q
-    y = acc.astype(np.float32)
+    with np.errstate(over="ignore"):  # a product past float32 saturates, as in quantize
+        x_q = round_onto_grid(x2, np.float32(layer.input_scale), layer.m)
+    acc = gemm_grid(x_q, layer.weight_q.T)
+    y = acc if acc.dtype == np.float32 else np.empty(acc.shape, np.float32)
+    np.add(acc, layer.bias_q, out=y, dtype=np.int32, casting="unsafe")
     y /= layer.bias_scale
     return y.reshape(lead + (layer.weight_q.shape[0],))
 

@@ -10,6 +10,10 @@ twin, the model export builds from it, so the simulation gives the exported
 model's bits. The classifier reads the first token only, so eval runs the
 last block past attention on that token alone; training, and the dynamic
 model, whose activation scales read every position, run it on all of them.
+Eval on frozen Int8 FCs (the exported model, and a QAT model through its
+twin) runs a batch in chunks of ``EVAL_CHUNK`` sequences: its rows are exact
+and independent of the batch. FP32 GEMM bits depend on the row count, and a
+dynamic scale spans the batch, so the FP32 and dynamic models run it whole.
 """
 
 from __future__ import annotations
@@ -90,6 +94,11 @@ def _new_leaf(kind, shape, rng, m, ema_decay):
     if kind == EMBEDDING:
         return QuantizedEmbedding(w, m=m)
     return QuantizedLinear(w, np.zeros(shape[0]), m=m, input_tracker=EmaTracker(decay=ema_decay))
+
+
+# Sequences per chunk of an eval batch whose FCs are frozen Int8 layers: a
+# larger batch allocates no transient bigger than one chunk's.
+EVAL_CHUNK = 64
 
 
 class TransformerEncoderModel:
@@ -177,27 +186,37 @@ class TransformerEncoderModel:
         ids = np.asarray(ids)
         if ids.ndim != 2:
             raise ShapeError(f"expected (batch, seq) ids, got shape {ids.shape}")
-        batch, seq = ids.shape
-        if seq > self.config.max_seq_len:
-            raise ShapeError(f"sequence length {seq} exceeds {self.config.max_seq_len}")
-        pos_ids = np.broadcast_to(np.arange(seq), (batch, seq))
+        if ids.shape[1] > self.config.max_seq_len:
+            raise ShapeError(f"sequence length {ids.shape[1]} exceeds {self.config.max_seq_len}")
+        if training:
+            logits = self._encode(ids, True, slice(None))
+            self._batch_shape = ids.shape
+            return logits
         # a QAT model evaluates by running the Int8 model export builds
         qat = isinstance(self.classifier, QuantizedLinear) and self.quant_enabled
-        net = self._int8_twin() if qat and not training else self
-        x = net.token_emb.forward(ids, training)
-        x += net.pos_emb.forward(pos_ids, training)  # into the fresh lookup
-        x = net.emb_norm.forward(x, training)
-        *inner, last = net.blocks
-        for block in inner:
-            x = block.forward(x, training)
+        net = self._int8_twin() if qat else self
         # the classifier reads position 0 only: eval runs the last block past
         # attention on it alone; training keeps every position for backward
-        rows = slice(0, 1) if self.first_token_eval and not training else slice(None)
+        rows = slice(0, 1) if self.first_token_eval else slice(None)
+        # the rows of frozen Int8 FCs are exact and independent of their batch,
+        # so chunks of the batch give its bits, in buffers of one chunk's size
+        if not isinstance(net.classifier, QuantizedLinearFrozen) or len(ids) <= EVAL_CHUNK:
+            return net._encode(ids, False, rows)
+        return np.concatenate([net._encode(ids[i:i + EVAL_CHUNK], False, rows)
+                               for i in range(0, len(ids), EVAL_CHUNK)])
+
+    def _encode(self, ids, training, rows) -> np.ndarray:
+        """The logits of checked ids through this model's own leaves, with
+        the last block run past attention on the positions ``rows`` selects."""
+        pos_ids = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
+        x = self.token_emb.forward(ids, training)
+        x += self.pos_emb.forward(pos_ids, training)  # into the fresh lookup
+        x = self.emb_norm.forward(x, training)
+        *inner, last = self.blocks
+        for block in inner:
+            x = block.forward(x, training)
         x = last.forward(x, training, rows)
-        logits = net.classifier.forward(x[:, 0, :], training)
-        if training:
-            self._batch_shape = ids.shape
-        return logits
+        return self.classifier.forward(x[:, 0, :], training)
 
     def backward(self, d_logits) -> None:
         batch, seq = kept_for_backward(self._batch_shape)
@@ -211,6 +230,8 @@ class TransformerEncoderModel:
         self.pos_emb.backward(d_x)
 
     def predict_logits(self, ids) -> np.ndarray:
+        """The eval forward, which runs a batch on frozen Int8 FCs in chunks
+        of ``EVAL_CHUNK`` sequences."""
         return self.forward(ids, training=False)
 
     def _int8_twin(self) -> TransformerEncoderModel:

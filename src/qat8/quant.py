@@ -46,11 +46,37 @@ except ImportError:  # NumPy < 2
 # 2**23 is a float32. Below this grid max, every rounding boundary k + 1/2
 # inside the grid is one.
 _F32_MAX_M = 1 << 23
-# |v - rint(v)| at or past which quantize recomputes an element with the
+# |v - rint(v)| at or past which an element is recomputed with the
 # half-away formula: the ties, 0.5, and in float64 also 0.5 - 2**-54, the
 # one magnitude where that formula's v + 0.5 rounds up to 1.0. As a float32
 # the threshold is 0.5 itself.
 _RECOMPUTE_AT = 0.5 - 2.0 ** -54
+
+
+def round_onto_grid(x: np.ndarray, s, m: int) -> np.ndarray:
+    """clamp(round(x * s), -m, m) as floats of the dtype of ``s``, a float32
+    or float64 scale that :func:`quantize` would choose for ``x`` and m.
+
+    This is :func:`quantize` without its checks and its integer cast: the
+    Int8 FC layers multiply these integer-valued floats directly
+    (``tensor.gemm_grid``). NaN raises :class:`NonFiniteError` without a
+    pass of its own: it is the one value besides the ties that the tie mask
+    ``~(|v - rint(v)| < threshold)`` selects. A product past the float range
+    saturates like an infinity, but sets the overflow flag: the caller
+    decides, with ``np.errstate``, whether that may warn.
+    """
+    v = np.multiply(x, s, out=np.empty(x.shape, s.dtype), dtype=s.dtype)
+    _clip(v, -m, m, out=v)
+    r = np.rint(v, out=np.empty(x.shape, s.dtype))
+    v -= r
+    kept = np.abs(v, out=v) < _RECOMPUTE_AT
+    if not kept.all():
+        recompute = ~kept
+        exact = np.multiply(x[recompute], float(s), dtype=np.float64)
+        if np.isnan(exact).any():
+            raise NonFiniteError("quantize input contains NaN")
+        r[recompute] = np.trunc(exact + np.copysign(0.5, exact))
+    return r
 
 
 def quantize(x, scale: float, m: int = 127) -> np.ndarray:
@@ -72,7 +98,7 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     == 0.5`` finds every tie, and only the ties are recomputed from the
     float64 product as trunc(v + copysign(0.5, v)). Any other call (float64
     data, a scale that is not a float32, the Int32 bias grid) runs the same
-    steps on the float64 product.
+    steps on the float64 product. :func:`round_onto_grid` runs these steps.
     """
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
@@ -80,24 +106,11 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     if m < 1:
         raise ValueError(f"max quantized value must be >= 1, got {m}")
     x = np.asarray(x)
-    try:
-        # over: the product past the float range saturates like an infinity;
-        # invalid: only NaN raises it (in the cast), so the flag costs no pass
-        with np.errstate(over="ignore", invalid="raise"):
-            s = np.float32(scale)
-            if not (x.dtype == np.float32 and m < _F32_MAX_M and float(s) == scale):
-                s = np.float64(scale)
-            v = np.multiply(x, s, out=np.empty(x.shape, s.dtype), dtype=s.dtype)
-            _clip(v, -m, m, out=v)
-            r = np.rint(v, out=np.empty(x.shape, s.dtype))
-            v -= r
-            recompute = np.abs(v, out=v) >= _RECOMPUTE_AT
-            if recompute.any():
-                exact = np.multiply(x[recompute], scale, dtype=np.float64)
-                r[recompute] = np.trunc(exact + np.copysign(0.5, exact))
-            return r.astype(_int_dtype_for(m))
-    except FloatingPointError:
-        raise NonFiniteError("quantize input contains NaN") from None
+    s = np.float32(scale)
+    if not (x.dtype == np.float32 and m < _F32_MAX_M and float(s) == scale):
+        s = np.float64(scale)
+    with np.errstate(over="ignore"):
+        return round_onto_grid(x, s, m).astype(_int_dtype_for(m))
 
 
 def dequantize(q, scale: float) -> np.ndarray:

@@ -21,12 +21,13 @@ import numpy as np
 
 from .layers import ExportError, LayerNorm, freeze_linear, linear_rows
 # perfbench/spans.py looks up attention_mix, gelu_forward, layer_norm_forward,
-# int8_linear_infer and QuantizedEmbeddingFrozen here; runtime uses none of them
+# int8_linear_infer and QuantizedEmbeddingFrozen here, and its smoke test
+# gemm_i8_i32; runtime uses none of them
 from .layers import (QuantizedEmbeddingFrozen, attention_mix, gelu_forward,  # noqa: F401
                      int8_linear_infer, layer_norm_forward)
 from .model import TransformerEncoderModel, convert_layers
-from .quant import dynamic_scale, quantize, weight_scale
-from .tensor import gemm_i8_i32
+from .quant import dynamic_scale, quantize, round_onto_grid, weight_scale
+from .tensor import gemm_grid, gemm_i8_i32  # noqa: F401
 
 
 @dataclass
@@ -43,10 +44,18 @@ class DynamicQuantLinear:
 
 
 def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
-    """Int8 GEMM with the activation scale taken from the incoming tensor."""
+    """Int8 GEMM with the activation scale taken from the incoming tensor.
+
+    ``dynamic_scale`` refuses NaN and infinities, and its scale m / max|x|
+    keeps every product finite, so the input is rounded onto its grid with
+    no check of its own. The exact product is an FP32 value already when the
+    GEMM runs in float32; past K = 1024 it is rounded to FP32 once, as the
+    Int32 accumulator's cast would round it.
+    """
     x2, lead = linear_rows(x, layer.weight_q.shape[1])
     s_x = dynamic_scale(x2, layer.m)
-    y = gemm_i8_i32(quantize(x2, s_x, layer.m), layer.weight_q.T).astype(np.float32)
+    y = gemm_grid(round_onto_grid(x2, s_x, layer.m), layer.weight_q.T)
+    y = y.astype(np.float32, copy=False)
     y /= np.float32(s_x) * np.float32(layer.weight_scale)
     y += layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))

@@ -14,6 +14,12 @@ integer of magnitude at most K * 2**14. A float type holds every integer up
 to 2**24 (float32) or 2**53 (float64) exactly, so while that bound fits,
 every addition the BLAS kernel makes is exact, whatever order it sums in,
 and the result equals the Int32 accumulation bit for bit.
+
+The argument needs only the operands' values, not their dtype: float
+operands whose every value is an integer in [-128, 127] give the same
+exact product. So :func:`gemm_grid` takes the Int8 grid as floats, which
+is how the Int8 FC layers pass it (``quant.round_onto_grid``), and
+:func:`gemm_i8_i32` is that same body on int8 operands.
 """
 
 from __future__ import annotations
@@ -64,27 +70,34 @@ def gemm_f32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Int8 x Int8 GEMM with exact Int32 accumulation.
+def gemm_grid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The exact product of two 2-D arrays whose values are integers in
+    [-128, 127], of any real dtype, as floats.
 
-    The inner dimension is capped at ``INT_GEMM_MAX_K`` so the accumulator
-    cannot overflow; within that cap the result is exact and independent of
-    summation order.
-
-    The product runs as a float BLAS GEMM (see the module docstring): in
-    float32 while K * 128**2 <= 2**24 (K <= 1024, every GEMM of the default
-    model), in float64 above that, where K * 128**2 <= 2**29 stays far below
-    2**53. The exact integer result is then converted to Int32.
+    The inner dimension is capped at ``INT_GEMM_MAX_K``, so the product fits
+    an Int32 accumulator. It runs as a float BLAS GEMM (see the module
+    docstring): in float32 while K * 128**2 <= 2**24 (K <= 1024, every GEMM
+    of the default model), in float64 above that, where K * 128**2 <= 2**29
+    stays far below 2**53. Every value of the result is that exact integer,
+    in the float type the GEMM ran in.
     """
+    k = a.shape[1]
+    if k > INT_GEMM_MAX_K:
+        raise CapacityError(
+            f"inner dimension {k} exceeds {INT_GEMM_MAX_K}; "
+            "Int32 accumulator could overflow"
+        )
+    ftype = np.float32 if k <= _F32_EXACT_MAX_K else np.float64
+    return np.matmul(a.astype(ftype, copy=False), b.astype(ftype, copy=False))
+
+
+def gemm_i8_i32(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Int8 x Int8 GEMM with exact Int32 accumulation: :func:`gemm_grid` on
+    int8 operands, converted to Int32. Within the inner-dimension cap the
+    result is exact and independent of summation order."""
     a = np.asarray(a)
     b = np.asarray(b)
     _check_2d_pair(a, b)
     if a.dtype != np.int8 or b.dtype != np.int8:
         raise TypeError(f"gemm_i8_i32 requires int8 operands, got {a.dtype} x {b.dtype}")
-    if a.shape[1] > INT_GEMM_MAX_K:
-        raise CapacityError(
-            f"inner dimension {a.shape[1]} exceeds {INT_GEMM_MAX_K}; "
-            "Int32 accumulator could overflow"
-        )
-    ftype = np.float32 if a.shape[1] <= _F32_EXACT_MAX_K else np.float64
-    return np.matmul(a.astype(ftype), b.astype(ftype)).astype(np.int32)
+    return gemm_grid(a, b).astype(np.int32)

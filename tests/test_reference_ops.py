@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 from qat8.layers import (INT32_MAX, QuantizedLinear, QuantizedLinearFrozen, attention_mix,
                          gelu_backward, gelu_forward, layer_norm_forward, merge_heads,
                          softmax_backward, softmax_forward, split_heads)
-from qat8.model import ModelConfig, TransformerEncoderModel
+from qat8.model import EVAL_CHUNK, ModelConfig, TransformerEncoderModel
 from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
 from qat8.runtime import (DynamicQuantLinear, dq_quantize, dynamic_linear_infer, export,
                           int8_linear_infer)
+from qat8.tensor import NonFiniteError, gemm_i8_i32
 from qat8.task import SyntheticTask
 from qat8.training import TrainConfig, train
 
@@ -357,17 +358,104 @@ def test_layer_norm_matches_reference(rng, shape):
     assert_same_bytes(inv, ref_inv)
 
 
+def old_int8_linear(layer, x):
+    """The frozen FC as it ran on the int8 and int32 kernels: quantize to
+    int8, the Int8 GEMM into Int32, the bias added in Int32, then FP32."""
+    x2 = x.reshape(-1, x.shape[-1])
+    acc = gemm_i8_i32(quantize(x2, layer.input_scale, layer.m), layer.weight_q.T)
+    acc += layer.bias_q
+    y = acc.astype(np.float32)
+    y /= layer.bias_scale
+    return y.reshape(x.shape[:-1] + (layer.weight_q.shape[0],))
+
+
+def old_dynamic_linear(layer, x):
+    """The dynamic FC as it ran on the int8 and int32 kernels."""
+    x2 = x.reshape(-1, x.shape[-1])
+    s_x = dynamic_scale(x2, layer.m)
+    y = gemm_i8_i32(quantize(x2, s_x, layer.m), layer.weight_q.T).astype(np.float32)
+    y /= np.float32(s_x) * np.float32(layer.weight_scale)
+    y += layer.bias
+    return y.reshape(x.shape[:-1] + (layer.weight_q.shape[0],))
+
+
+def _weight(rng, n, k):
+    return rng.integers(-127, 128, size=(n, k)).astype(np.int8)
+
+
+def _integer_linears(rng, w_q, input_scale=np.float32(127.0 / 5.3), bias_bound=50_000):
+    """A frozen and a dynamic FC layer on the Int8 weight ``w_q``."""
+    n = w_q.shape[0]
+    frozen = QuantizedLinearFrozen(weight_q=w_q, weight_scale=np.float32(311.0),
+                                   input_scale=input_scale,
+                                   bias_q=rng.integers(-bias_bound, bias_bound, n).astype(np.int32))
+    dynamic = DynamicQuantLinear(weight_q=w_q, weight_scale=np.float32(311.0),
+                                 bias=(0.1 * rng.standard_normal(n)).astype(np.float32))
+    return frozen, dynamic
+
+
+def _assert_integer_linears_match(frozen, dynamic, x):
+    assert_same_bytes(int8_linear_infer(frozen, x), ref_int8_linear(frozen, x, frozen.m))
+    assert_same_bytes(int8_linear_infer(frozen, x), old_int8_linear(frozen, x))
+    assert_same_bytes(dynamic_linear_infer(dynamic, x), ref_dynamic_linear(dynamic, x, dynamic.m))
+    assert_same_bytes(dynamic_linear_infer(dynamic, x), old_dynamic_linear(dynamic, x))
+
+
 @pytest.mark.parametrize("lead", [(256, 16), (1, 1)])
 def test_integer_linears_match_reference(rng, lead):
-    w_q = rng.integers(-127, 128, size=(192, 48)).astype(np.int8)
+    w_q = _weight(rng, 192, 48)
     x = (rng.standard_normal(lead + (48,)) * 2.0).astype(np.float32)
-    frozen = QuantizedLinearFrozen(weight_q=w_q, weight_scale=np.float32(311.0),
-                                   input_scale=np.float32(127.0 / 5.3),
-                                   bias_q=rng.integers(-50_000, 50_000, 192).astype(np.int32))
-    dynamic = DynamicQuantLinear(weight_q=w_q, weight_scale=np.float32(311.0),
-                                 bias=(0.1 * rng.standard_normal(192)).astype(np.float32))
+    frozen, dynamic = _integer_linears(rng, w_q)
+    _assert_integer_linears_match(frozen, dynamic, x)
+
+
+@pytest.mark.parametrize("k", [1025, 1100])
+def test_integer_linears_past_k_1024_match_reference(rng, k):
+    # past K = 1024 the exact GEMM runs in float64; a bias near 2**31 makes
+    # the Int32 sum round when it turns into FP32
+    frozen, dynamic = _integer_linears(rng, _weight(rng, 24, k), bias_bound=2_000_000_000)
+    x = (rng.standard_normal((3, 5, k)) * 2.0).astype(np.float32)
+    # one row saturates to 127 against a weight row of -128s and one -127:
+    # at K = 1100 its dot product p is odd and past 2**24, so a float32 GEMM
+    # would round it; with the bias 1 - p, the accumulator holds exactly 1
+    x[0, 0] = 1e3
+    frozen.weight_q[0] = -128
+    frozen.weight_q[0, -1] = -127
+    frozen.bias_q[0] = 1 - 127 * int(frozen.weight_q[0].sum(dtype=np.int64))
+    _assert_integer_linears_match(frozen, dynamic, x)
+    assert np.abs(frozen.bias_q).max() > 2 ** 24
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_integer_linears_match_reference_at_ties_and_saturation(rng):
+    # at scale 2**3 every (k + 1/2) / 8 is an exact tie; 127 / 8 sets the
+    # dynamic scale to 8 as well
+    ties = (np.arange(-127, 127) + 0.5) / 8.0
+    x = rng.permutation(np.resize(np.append(ties, 127 / 8.0), 16 * 48)).reshape(16, 48)
+    x = x.astype(np.float32)
+    frozen, dynamic = _integer_linears(rng, _weight(rng, 192, 48), input_scale=np.float32(8.0))
+    assert dynamic_scale(x) == 8.0
+    _assert_integer_linears_match(frozen, dynamic, x)
+    # past the grid, ties, an infinity and a product past float32 saturate,
+    # silently
+    x[0, :8] = [127.5 / 8, -127.5 / 8, 130.5 / 8, -200.5 / 8, np.inf, -np.inf, 3e38, -3e38]
     assert_same_bytes(int8_linear_infer(frozen, x), ref_int8_linear(frozen, x, 127))
-    assert_same_bytes(dynamic_linear_infer(dynamic, x), ref_dynamic_linear(dynamic, x, 127))
+    assert_same_bytes(int8_linear_infer(frozen, x), old_int8_linear(frozen, x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_integer_linears_refuse_what_has_no_integer(rng, bad):
+    frozen, dynamic = _integer_linears(rng, _weight(rng, 192, 48))
+    x = rng.standard_normal((4, 48)).astype(np.float32)
+    x[2, 7] = bad
+    # the frozen grid saturates an infinity; NaN and a dynamic scale of
+    # either have no integer
+    runs = [(dynamic_linear_infer, dynamic), (old_dynamic_linear, dynamic)]
+    if np.isnan(bad):
+        runs += [(int8_linear_infer, frozen), (old_int8_linear, frozen)]
+    for run, layer in runs:
+        with pytest.raises(NonFiniteError):
+            run(layer, x)
 
 
 # ---------------------------------------------------------------------------
@@ -423,18 +511,43 @@ def test_predict_logits_matches_every_block_on_every_position(default_kinds, kin
         assert_same_bytes(got, want)
 
 
-def _fc_expand_rows(monkeypatch, config):
-    """The rows of every input to an FC layer of fc_expand's shape, in call
-    order: the rows each block's feed-forward runs on."""
+def _fc_rows(monkeypatch, shape=None):
+    """The rows of every input to an FC layer, or to those whose weight has
+    the shape ``shape`` only, in call order."""
     rows = []
     for cls in (QuantizedLinear, QuantizedLinearFrozen, DynamicQuantLinear):
         def spy(layer, x, training=False, forward=cls.forward):
             w = layer.weight.value if isinstance(layer, QuantizedLinear) else layer.weight_q
-            if w.shape == (config.ffn_dim, config.dim):
-                rows.append(x.size // config.dim)
+            if shape is None or w.shape == shape:
+                rows.append(x.size // w.shape[1])
             return forward(layer, x, training)
         monkeypatch.setattr(cls, "forward", spy)
     return rows
+
+
+# around each multiple of the chunk, and a batch of many chunks
+@pytest.mark.parametrize("batch", [63, 64, 65, 127, 128, 129, 255, 256, 257, 1000])
+@pytest.mark.parametrize("kind", ["qat", "int8-frozen"])
+def test_chunked_eval_matches_the_whole_batch(default_kinds, kind, batch):
+    assert EVAL_CHUNK == 64
+    kinds, _ = default_kinds
+    model, net = kinds[kind]
+    config = ModelConfig()
+    ids = SyntheticTask(vocab_size=config.vocab_size,
+                        seq_len=config.max_seq_len).generate(batch, seed=2)[0]
+    assert_same_bytes(model.predict_logits(ids), ref_forward(net, ids))
+
+
+@pytest.mark.parametrize("kind", ["fp32", "qat", "int8-frozen", "int8-dynamic"])
+def test_eval_runs_frozen_int8_fcs_in_chunks(default_kinds, monkeypatch, kind):
+    kinds, probe = default_kinds
+    seq = ModelConfig().max_seq_len
+    kinds[kind][0].predict_logits(probe)  # a QAT model builds its Int8 model here
+    rows = _fc_rows(monkeypatch)
+    kinds[kind][0].predict_logits(probe)
+    # fp32 BLAS bits depend on the row count and a dynamic scale spans the
+    # batch: those two take it whole
+    assert max(rows) == (EVAL_CHUNK if kind in ("qat", "int8-frozen") else len(probe)) * seq
 
 
 @pytest.mark.parametrize("kind", ["fp32", "qat", "int8-frozen", "int8-dynamic"])
@@ -444,7 +557,7 @@ def test_eval_runs_the_last_block_past_attention_on_the_first_token_only(
     config = ModelConfig()
     ids = probe[:5]
     kinds[kind][0].predict_logits(ids)  # a QAT model builds its Int8 model here
-    rows = _fc_expand_rows(monkeypatch, config)
+    rows = _fc_rows(monkeypatch, (config.ffn_dim, config.dim))  # fc_expand's
     kinds[kind][0].predict_logits(ids)
     # a dynamic scale reads its whole input tensor, so dq keeps every position
     last = 5 * config.max_seq_len if kind == "int8-dynamic" else 5
@@ -456,7 +569,7 @@ def test_training_runs_every_block_on_every_position(monkeypatch, quant_enabled)
     config = ModelConfig()
     model = TransformerEncoderModel(config, quant_enabled=quant_enabled, seed=0)
     ids = np.random.default_rng(0).integers(0, config.vocab_size, size=(5, config.max_seq_len))
-    rows = _fc_expand_rows(monkeypatch, config)
+    rows = _fc_rows(monkeypatch, (config.ffn_dim, config.dim))  # fc_expand's
     model.forward(ids, training=True)
     assert rows == [5 * config.max_seq_len] * 2
 

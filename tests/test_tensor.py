@@ -6,6 +6,7 @@ from qat8.tensor import (
     CapacityError,
     ShapeError,
     gemm_f32,
+    gemm_grid,
     gemm_i8_i32,
 )
 
@@ -142,3 +143,18 @@ def test_gemm_i8_i32_matches_int64_oracle_at_model_shape():
     w = rng.integers(-128, 128, size=(48, 192)).astype(np.int8)
     np.testing.assert_array_equal(gemm_i8_i32(a, w.T), _int64_gemm(a, w.T))
 
+
+
+@pytest.mark.parametrize("k", [1024, 1025])
+def test_gemm_grid_takes_the_int8_grid_as_floats(k):
+    # the Int8 FC layers pass their grid as float32; the product is exact in
+    # float32 up to K = 1024 and in float64 past it
+    rng = np.random.default_rng(4)
+    a = rng.integers(-128, 128, size=(3, k)).astype(np.int8)
+    b = rng.integers(-128, 128, size=(k, 5)).astype(np.int8)
+    a[0], b[:, 0] = -128, -128
+    b[-1, 0] = 1
+    got = gemm_grid(a.astype(np.float32), b.astype(np.float32))
+    assert got.dtype == (np.float32 if k <= 1024 else np.float64)
+    np.testing.assert_array_equal(got, _int64_gemm(a, b))
+    np.testing.assert_array_equal(got, gemm_i8_i32(a, b))
