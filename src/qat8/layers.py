@@ -90,14 +90,30 @@ def softmax_backward(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return g
 
 
+# Rows (size // last dim) per block of an elementwise or exact eval step on
+# a larger input: GELU, and the dynamic FC's rounding and GEMM. Each block's
+# scratch is one block's size, whatever the batch.
+ROW_BLOCK = 1024
+
+
 def gelu_forward(x: np.ndarray, keep_tanh: bool = False, out: np.ndarray | None = None):
     """GELU, tanh approximation: 0.5 x (1 + tanh(C (x + A x^3))), written
     into ``out`` (which may be ``x``) or a fresh array.
 
     With ``keep_tanh`` it returns (output, tanh) for :func:`gelu_backward`,
-    at the cost of one more buffer; otherwise just the output.
+    at the cost of one more buffer; otherwise just the output. Without it, an
+    input of more than ``ROW_BLOCK`` rows runs in blocks of that many rows,
+    each with a scratch of one block's size: GELU is elementwise, so the
+    bytes are those of the whole input.
     """
     x = np.asarray(x, dtype=np.float32)
+    n = x.shape[-1] if x.ndim else 1
+    if not keep_tanh and x.size > ROW_BLOCK * n and (out is None or out.flags.c_contiguous):
+        y = np.empty(x.shape, np.float32) if out is None else out
+        x_rows, y_rows = x.reshape(-1, n), y.reshape(-1, n)  # y_rows is a view of y
+        for i in range(0, len(x_rows), ROW_BLOCK):
+            gelu_forward(x_rows[i:i + ROW_BLOCK], out=y_rows[i:i + ROW_BLOCK])
+        return y
     u = np.multiply(x, _GELU_A, out=np.empty_like(x))
     u *= x
     u *= x

@@ -13,7 +13,10 @@ model, whose activation scales read every position, run it on all of them.
 Eval on frozen Int8 FCs (the exported model, and a QAT model through its
 twin) runs a batch in chunks of ``EVAL_CHUNK`` sequences: its rows are exact
 and independent of the batch. FP32 GEMM bits depend on the row count, and a
-dynamic scale spans the batch, so the FP32 and dynamic models run it whole.
+dynamic scale spans the batch, so the FP32 and dynamic models run their
+GEMMs on it whole; only their GELU and the dynamic FC's rounding and exact
+GEMM, which give the same bits at any row count, run in blocks of
+``layers.ROW_BLOCK`` rows.
 """
 
 from __future__ import annotations

@@ -100,6 +100,14 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     data, a scale that is not a float32, the Int32 bias grid) runs the same
     steps on the float64 product. :func:`round_onto_grid` runs these steps.
     """
+    x, s = _grid_operands(x, scale, m)
+    with np.errstate(over="ignore"):
+        return round_onto_grid(x, s, m).astype(_int_dtype_for(m))
+
+
+def _grid_operands(x, scale: float, m: int):
+    """x as an array and the scale as the float type :func:`quantize` forms
+    the product in, after checking the scale and m."""
     scale = float(scale)
     if not np.isfinite(scale) or scale <= 0.0:
         raise ValueError(f"scale must be positive and finite, got {scale}")
@@ -109,8 +117,7 @@ def quantize(x, scale: float, m: int = 127) -> np.ndarray:
     s = np.float32(scale)
     if not (x.dtype == np.float32 and m < _F32_MAX_M and float(s) == scale):
         s = np.float64(scale)
-    with np.errstate(over="ignore"):
-        return round_onto_grid(x, s, m).astype(_int_dtype_for(m))
+    return x, s
 
 
 def dequantize(q, scale: float) -> np.ndarray:
@@ -214,5 +221,17 @@ def fake_quantize(x, scale: float, m: int = 127) -> np.ndarray:
     The output lies on the quantization grid (each element is k / scale for
     an integer |k| <= m), so the rounding error the integer pipeline will
     incur is visible to FP32 training.
+
+    The bytes are ``dequantize(quantize(x, scale, m), scale)``'s, without
+    the integer copy: the grid stays in the floats :func:`round_onto_grid`
+    rounds into. Adding 0.0 turns the -0.0 it can round to into the 0.0 an
+    integer grid holds, and each k is divided as that integer cast to FP32.
     """
-    return dequantize(quantize(x, scale, m), scale)
+    x, s = _grid_operands(x, scale, m)
+    with np.errstate(over="ignore"):
+        r = round_onto_grid(x, s, m)
+    r += 0.0
+    if r.dtype != np.float32:
+        return np.divide(r, np.float32(scale), dtype=np.float32)
+    r /= np.float32(scale)
+    return r

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ExportError, LayerNorm, freeze_linear, linear_rows
+from .layers import ROW_BLOCK, ExportError, LayerNorm, freeze_linear, linear_rows
 # perfbench/spans.py looks up attention_mix, gelu_forward, layer_norm_forward,
 # int8_linear_infer and QuantizedEmbeddingFrozen here, and its smoke test
 # gemm_i8_i32; runtime uses none of them
@@ -51,11 +51,21 @@ def dynamic_linear_infer(layer: DynamicQuantLinear, x) -> np.ndarray:
     no check of its own. The exact product is an FP32 value already when the
     GEMM runs in float32; past K = 1024 it is rounded to FP32 once, as the
     Int32 accumulator's cast would round it.
+
+    The scale spans the whole input. An input of more than ``ROW_BLOCK``
+    rows is then rounded and multiplied in blocks of that many rows, into
+    one FP32 output: each row of the exact product is the same integers at
+    any row count, so the bytes are those of the whole input.
     """
     x2, lead = linear_rows(x, layer.weight_q.shape[1])
     s_x = dynamic_scale(x2, layer.m)
-    y = gemm_grid(round_onto_grid(x2, s_x, layer.m), layer.weight_q.T)
-    y = y.astype(np.float32, copy=False)
+    w_t = layer.weight_q.T
+    if len(x2) <= ROW_BLOCK:
+        y = gemm_grid(round_onto_grid(x2, s_x, layer.m), w_t).astype(np.float32, copy=False)
+    else:
+        y = np.empty((len(x2), w_t.shape[1]), np.float32)
+        for i in range(0, len(x2), ROW_BLOCK):
+            y[i:i + ROW_BLOCK] = gemm_grid(round_onto_grid(x2[i:i + ROW_BLOCK], s_x, layer.m), w_t)
     y /= np.float32(s_x) * np.float32(layer.weight_scale)
     y += layer.bias
     return y.reshape(lead + (layer.weight_q.shape[0],))

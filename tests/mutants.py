@@ -87,6 +87,39 @@ MUTANTS = (
            "logits = self._encode(ids, True, slice(0, 1))",
            (REF + "test_training_runs_every_block_on_every_position[False]",
             REF + "test_training_runs_every_block_on_every_position[True]")),
+    # GELU and the dynamic FC run inputs past ROW_BLOCK rows in blocks
+    Mutant("gelu-last-block-dropped", "layers.py",
+           "for i in range(0, len(x_rows), ROW_BLOCK)",
+           "for i in range(0, len(x_rows) - ROW_BLOCK, ROW_BLOCK)",
+           (REF + "test_gelu_in_row_blocks_matches_reference[1025]",
+            REF + "test_gelu_in_row_blocks_matches_reference[4097]",
+            REF + "test_eval_in_row_blocks_matches_the_whole_batch[fp32-65]")),
+    Mutant("gelu-blocks-keep-no-tanh", "layers.py",
+           "if not keep_tanh and x.size > ROW_BLOCK * n and",
+           "if x.size > ROW_BLOCK * n and",
+           (REF + "test_gelu_in_row_blocks_matches_reference[1025]",)),
+    Mutant("dq-block-loop-stops-short", "runtime.py",
+           "for i in range(0, len(x2), ROW_BLOCK)",
+           "for i in range(0, len(x2) - ROW_BLOCK, ROW_BLOCK)",
+           (REF + "test_dynamic_linear_in_row_blocks_matches_reference[1025-48]",
+            REF + "test_dynamic_linear_in_row_blocks_matches_reference[1025-1025]",
+            REF + "test_eval_in_row_blocks_matches_the_whole_batch[int8-dynamic-256]")),
+    # fake quantization gives the bytes of the integer grid, which has no -0
+    Mutant("fake-quantize-keeps-minus-zero", "quant.py", "    r += 0.0\n", "",
+           (REF + "test_fake_quantize_matches_the_integer_grid[127-power-of-two-float32]",
+            REF + "test_fake_quantize_matches_the_integer_grid[7-not-float32-float64]")),
+    # quantize recomputes its ties from the float64 product, at 0.5 - 2**-54
+    Mutant("no-tie-recompute", "quant.py",
+           "        r[recompute] = np.trunc(exact + np.copysign(0.5, exact))\n", "",
+           (REF + "test_quantize_recomputes_a_float32_tie_the_exact_product_misses",
+            REF + "test_quantize_ties_match_reference[127]")),
+    Mutant("recompute-threshold-one-half", "quant.py",
+           "_RECOMPUTE_AT = 0.5 - 2.0 ** -54", "_RECOMPUTE_AT = 0.5",
+           (REF + "test_quantize_keeps_the_half_away_formula_below_one_half_in_float64",)),
+    Mutant("max-abs-keeps-minus-zero", "quant.py",
+           "return float(np.maximum(t.max(), -t.min())) + 0.0",
+           "return float(np.maximum(t.max(), -t.min()))",
+           (REF + "test_max_abs_matches_reference",)),
 )
 
 

@@ -13,11 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qat8.layers import (INT32_MAX, QuantizedLinear, QuantizedLinearFrozen, attention_mix,
-                         gelu_backward, gelu_forward, layer_norm_forward, merge_heads,
-                         softmax_backward, softmax_forward, split_heads)
+from qat8 import layers, runtime
+from qat8.layers import (INT32_MAX, ROW_BLOCK, QuantizedLinear, QuantizedLinearFrozen,
+                         attention_mix, gelu_backward, gelu_forward, layer_norm_forward,
+                         merge_heads, softmax_backward, softmax_forward, split_heads)
 from qat8.model import EVAL_CHUNK, ModelConfig, TransformerEncoderModel
-from qat8.quant import dynamic_scale, fake_quantize, max_abs, max_quant_value, quantize
+from qat8.quant import (dequantize, dynamic_scale, fake_quantize, max_abs, max_quant_value,
+                        quantize)
 from qat8.runtime import (DynamicQuantLinear, dq_quantize, dynamic_linear_infer, export,
                           int8_linear_infer)
 from qat8.tensor import NonFiniteError, gemm_i8_i32
@@ -230,6 +232,40 @@ def test_fake_quantize_matches_reference(rng, shape):
     assert_same_bytes(fake_quantize(x, s, 127), want)
 
 
+def old_fake_quantize(x, scale, m=127):
+    """Fake quantization as it ran through the integer grid."""
+    return dequantize(quantize(x, scale, m), scale)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+@pytest.mark.parametrize("scale", [np.float32(8.0), np.float32(127 / 7.3), 2.2142857165],
+                         ids=["power-of-two", "float32", "not-float32"])
+@pytest.mark.parametrize("m", [7, 127])
+def test_fake_quantize_matches_the_integer_grid(rng, dtype, scale, m):
+    # exact ties at scale 8, zeros of both signs, values that round to -0.0
+    # on a float grid, and values, infinities and products past the grid
+    ties = (np.arange(-130, 130) + 0.5) / 8.0
+    special = [0.0, -0.0, -1e-3, -0.06, -1e-30, 1e-30, np.inf, -np.inf, 3e38, -3e38, 1e3, -1e3]
+    x = np.concatenate([ties, special, rng.standard_normal(500) * 5.0]).astype(dtype)
+    assert_same_bytes(fake_quantize(x, scale, m), old_fake_quantize(x, scale, m))
+    for v in special:
+        v = dtype(v)
+        assert_same_bytes(fake_quantize(v, scale, m), old_fake_quantize(v, scale, m))
+
+
+def test_fake_quantize_keeps_the_checks_of_quantize():
+    x = np.float32([1.0, np.nan])
+    for run in (fake_quantize, old_fake_quantize):
+        with pytest.raises(NonFiniteError):
+            run(x, 1.0)
+        for scale in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="scale must be positive and finite"):
+                run(x[:1], scale)
+        with pytest.raises(ValueError, match="max quantized value must be >= 1"):
+            run(x[:1], 1.0, 0)
+
+
 def test_max_abs_matches_reference(rng):
     zeros = np.zeros(5, np.float32)
     mixed = np.array([0.0, -0.0, 0.0], np.float32)
@@ -317,6 +353,26 @@ def test_softmax_into_its_input_matches_reference(rng, shape):
 def test_gelu_into_its_input_matches_reference(rng, shape):
     x = np.array(rng.standard_normal(shape) * 3.0, np.float32)
     want = ref_gelu(x)
+    assert gelu_forward(x, out=x) is x
+    assert_same_bytes(x, want)
+
+
+# around one block of rows, and a batch of many blocks with a short tail
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 4097])
+def test_gelu_in_row_blocks_matches_reference(rng, rows):
+    assert ROW_BLOCK == 1024
+    x = np.array(rng.standard_normal((rows, 48)) * 3.0, np.float32)
+    want = ref_gelu(x)
+    assert_same_bytes(gelu_forward(x), want)
+    assert_same_bytes(gelu_forward(x.reshape(1, rows, 48)), want.reshape(1, rows, 48))
+    # training keeps the tanh of the whole input, in one piece
+    y, t = gelu_forward(x, keep_tanh=True)
+    assert_same_bytes(y, want)
+    assert t.shape == x.shape
+    # into a buffer that is not C-contiguous, and into the input itself
+    out = np.empty((48, rows), np.float32).T
+    assert gelu_forward(x, out=out) is out
+    assert_same_bytes(np.ascontiguousarray(out), want)
     assert gelu_forward(x, out=x) is x
     assert_same_bytes(x, want)
 
@@ -443,6 +499,17 @@ def test_integer_linears_match_reference_at_ties_and_saturation(rng):
     assert_same_bytes(int8_linear_infer(frozen, x), old_int8_linear(frozen, x))
 
 
+# around one block of rows, many blocks with a short tail, and past K = 1024,
+# where the exact GEMM runs in float64
+@pytest.mark.parametrize("rows,k", [(1024, 48), (1025, 48), (4097, 192), (1025, 1025)])
+def test_dynamic_linear_in_row_blocks_matches_reference(rng, rows, k):
+    assert ROW_BLOCK == 1024
+    _, dynamic = _integer_linears(rng, _weight(rng, 48, k))
+    x = (rng.standard_normal((rows, k)) * 2.0).astype(np.float32)
+    x[-1, 0] = 40.0  # the scale is set by the last row, in the last block
+    assert_same_bytes(dynamic_linear_infer(dynamic, x), old_dynamic_linear(dynamic, x))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_integer_linears_refuse_what_has_no_integer(rng, bad):
     frozen, dynamic = _integer_linears(rng, _weight(rng, 192, 48))
@@ -536,6 +603,23 @@ def test_chunked_eval_matches_the_whole_batch(default_kinds, kind, batch):
     ids = SyntheticTask(vocab_size=config.vocab_size,
                         seq_len=config.max_seq_len).generate(batch, seed=2)[0]
     assert_same_bytes(model.predict_logits(ids), ref_forward(net, ids))
+
+
+# past one row block of positions, and many blocks
+@pytest.mark.parametrize("batch", [65, 256, 257, 1000])
+@pytest.mark.parametrize("kind", ["fp32", "int8-dynamic"])
+def test_eval_in_row_blocks_matches_the_whole_batch(default_kinds, monkeypatch, kind, batch):
+    kinds, _ = default_kinds
+    model = kinds[kind][0]
+    config = ModelConfig()
+    ids = SyntheticTask(vocab_size=config.vocab_size,
+                        seq_len=config.max_seq_len).generate(batch, seed=2)[0]
+    assert batch * config.max_seq_len > ROW_BLOCK
+    got = model.predict_logits(ids)
+    # GELU and the dynamic FC on the whole batch, as one block
+    for module in (layers, runtime):
+        monkeypatch.setattr(module, "ROW_BLOCK", batch * config.max_seq_len)
+    assert_same_bytes(got, model.predict_logits(ids))
 
 
 @pytest.mark.parametrize("kind", ["fp32", "qat", "int8-frozen", "int8-dynamic"])
